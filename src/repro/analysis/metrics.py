@@ -32,10 +32,14 @@ def max_pairwise_difference(values: Sequence[Optional[float]]) -> float:
     (PR 6) or an absent node leaves a hole in the value vector, and a
     hole carries no clock reading to compare — it must not poison the
     spread of the nodes that *are* present.
+
+    A float ndarray (the recorders' hot path) cannot hold ``None`` and is
+    taken as is.
     """
-    arr = np.asarray(
-        [v for v in values if v is not None], dtype=np.float64
-    )
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        arr = values.astype(np.float64, copy=False)
+    else:
+        arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
     arr = arr[np.isfinite(arr)]
     if arr.size < 2:
         return 0.0

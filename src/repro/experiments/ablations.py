@@ -153,7 +153,7 @@ def sweep_m(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro ablations", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer points")
     parser.add_argument("--seed", type=int, default=3)
     add_sweep_arguments(parser)

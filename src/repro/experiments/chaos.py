@@ -342,7 +342,7 @@ def outcome_fingerprint(outcome: PlanOutcome) -> Dict:
 
 def main(argv=None) -> None:
     """CLI entry point: run the soak and print the per-plan table."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro chaos", description=__doc__)
     parser.add_argument("--plans", type=int, default=10, help="number of plans")
     parser.add_argument("--seed", type=int, default=7, help="master seed")
     parser.add_argument("--nodes", type=int, default=12, help="stations per run")

@@ -72,7 +72,13 @@ def main(argv=None) -> int:
         "job under spans + deterministic work counters; 'trace' inspects "
         "event-trace JSONL files)",
     )
-    args, passthrough = parser.parse_known_args(argv)
+    # Everything after the experiment name, ``-h`` included, belongs to
+    # the experiment's own parser.
+    split = next(
+        (i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv)
+    )
+    args, passthrough = parser.parse_known_args(argv[:split])
+    passthrough += argv[split:]
     if args.experiment == "profile":
         from repro.obs.profilecli import main as profile_main
 
@@ -94,10 +100,16 @@ def main(argv=None) -> int:
 
         return benchgate_main(passthrough)
     if args.experiment == "all":
-        for name in (
+        names = (
             "fig1", "fig2", "table1", "fig3", "fig4",
             "overhead", "lemmas", "related", "ablations",
-        ):
+        )
+        argparse.ArgumentParser(
+            prog="repro all",
+            description=f"Run {', '.join(names)} in turn; every other "
+            "argument is passed to each of them.",
+        ).parse_known_args(passthrough)
+        for name in names:
             print(f"\n{'#' * 70}\n# {name}\n{'#' * 70}")
             EXPERIMENTS[name](passthrough)
         return 0

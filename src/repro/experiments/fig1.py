@@ -86,7 +86,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro fig1", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
     parser.add_argument("--nodes", type=int, nargs="+", default=[100, 300])
     parser.add_argument("--seed", type=int, default=1)

@@ -75,7 +75,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro fig2", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
     parser.add_argument("--nodes", type=int, default=500)
     parser.add_argument("-m", type=int, default=4, dest="m")

@@ -82,7 +82,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro fig3", description=__doc__)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--nodes", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)

@@ -72,7 +72,7 @@ def measure_reference_change(m: int, l: int = 1, n: int = 15, seed: int = 4) -> 
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro lemmas", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer m values")
     args = parser.parse_args(argv)
     m_values = (2, 4) if args.quick else (1, 2, 3, 4, 5)

@@ -190,7 +190,7 @@ def save_rows_csv(rows: Sequence[Dict[str, Any]], name: str = "multihop") -> str
 
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro multihop``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro multihop", description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",

@@ -41,7 +41,7 @@ def run(chain_length: int = 10_000, samples: int = 256):
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro overhead", description=__doc__)
     parser.add_argument("--chain-length", type=int, default=10_000)
     parser.add_argument("--quick", action="store_true",
                         help="shorter chain (1024) for smoke runs")

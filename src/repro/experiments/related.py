@@ -57,7 +57,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro related", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="single size")
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)

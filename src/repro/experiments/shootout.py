@@ -208,7 +208,7 @@ def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
 
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro shootout``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro shootout", description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",

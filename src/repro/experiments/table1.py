@@ -147,7 +147,7 @@ def _parse_m_values(text: str) -> Sequence[int]:
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="single replica")
     parser.add_argument("--nodes", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)

@@ -20,16 +20,40 @@ retry group, then possibly a late success), matching the behaviour TSF
 scalability studies model, and degenerates to the classic
 "unique-minimum-slot wins" rule when all stations share one perfect clock.
 A slot-granular shortcut of that rule (:func:`resolve_slotted`) is provided
-for the vectorised fast lane.
+for ablations.
+
+:func:`contention_cascade` resolves a window group by group rather than
+frame by frame. The candidates are stable-argsorted by time, so ties keep
+their input order. A transmission group starting at ``start`` then spans
+two prefix counts of the remaining sorted times: the frames with
+``t < start + airtime_us`` are on the medium before it frees, and of
+those the frames with ``t - start < cca_us`` collide into the group while
+the rest defer. Deferred frames all wait for the same instant, the end of
+the busy period, so they join the next group at its start: its members
+are the frames whose own timers expire exactly then, then the deferred
+frames in deferral order, then the later colliders. The walk stops at the
+first success: every timer still pending expires at or after that frame's
+end and cancels, in the same order. That order, and every member order,
+is exactly the one of a frame-by-frame event queue keyed on
+``(time, arrival)``; ``tests/test_contention_cascade.py`` pins the walk
+against such a queue.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -82,6 +106,119 @@ class ContentionResult:
         return sum(1 for tx in self.transmissions if not tx.success)
 
 
+#: Half-open range of positions in a window's time-sorted candidate order.
+Span = Tuple[int, int]
+
+
+class Cascade(NamedTuple):
+    """Raw outcome of :func:`contention_cascade`.
+
+    ``ids`` holds the candidates in (time, input) order; every
+    transmission's members and the cancelled stations are spans of it,
+    listed in the order the cascade meets them.
+    """
+
+    ids: np.ndarray
+    #: ``(start_us, end_us, member_spans)`` per transmission, in air order.
+    groups: List[Tuple[float, float, Tuple[Span, ...]]]
+    cancelled: Tuple[Span, ...] = ()
+
+    def members(self, spans: Tuple[Span, ...]) -> Tuple[int, ...]:
+        """The station ids of ``spans``, concatenated."""
+        out: List[int] = []
+        for lo, hi in spans:
+            out.extend(self.ids[lo:hi].tolist())
+        return tuple(out)
+
+    @property
+    def succeeded(self) -> bool:
+        """Whether the window ended in a successful (single-frame) transmission."""
+        if not self.groups:
+            return False
+        return sum(hi - lo for lo, hi in self.groups[-1][2]) == 1
+
+    @property
+    def collisions(self) -> int:
+        """Collided transmissions; only the last one can be the success."""
+        return len(self.groups) - 1 if self.succeeded else len(self.groups)
+
+
+def _span_walk(
+    t: np.ndarray, airtime_us: float, cca_us: float
+) -> Tuple[List[Tuple[float, float, Tuple[Span, ...]]], Tuple[Span, ...]]:
+    """Group-wise cascade over sorted times ``t`` (see module docstring).
+
+    Returns the transmissions and the cancelled spans. Frames before
+    ``p`` are decided, except the ones the last group deferred: those
+    are ``[d_lo, d_hi)`` and wait for ``wait``, at or before every frame
+    from ``p`` on.
+    """
+    n = t.shape[0]
+    groups: List[Tuple[float, float, Tuple[Span, ...]]] = []
+    p = d_lo = d_hi = 0
+    wait = 0.0
+    while d_lo < d_hi or p < n:
+        if d_lo == d_hi:
+            start = float(t[p])
+            # the first frame opens the group even if ``end`` rounds onto it
+            tied = p + 1
+        else:
+            # The deferred frames go right after the timers expiring at
+            # ``wait``, and all of them join: a group that deferred a frame
+            # spans two representable instants, so ``wait + airtime_us``
+            # cannot round back onto ``wait``.
+            start = wait
+            tied = int(t.searchsorted(start, "right"))
+        end = start + airtime_us
+        hi = max(int(t.searchsorted(end)), tied)
+        joined = tied + int(np.count_nonzero(t[tied:hi] - start < cca_us))
+        groups.append((start, end, ((p, tied), (d_lo, d_hi), (tied, joined))))
+        if joined - p + d_hi - d_lo == 1:
+            # cancelled like the next group would have formed
+            tied = int(t.searchsorted(end, "right"))
+            return groups, ((hi, tied), (joined, hi), (tied, n))
+        p, d_lo, d_hi, wait = hi, joined, hi, end
+    return groups, ()
+
+
+def contention_cascade(
+    ids: np.ndarray,
+    times: np.ndarray,
+    airtime_us: float,
+    cca_us: float,
+) -> Cascade:
+    """Resolve one beacon window over candidate arrays.
+
+    ``ids[i]`` is a station and ``times[i]`` the true time its backoff
+    timer expires; :func:`resolve_contention` is the validated pair-list
+    front end. Counts one ``mac.contention_round`` and emits the
+    ``contention_win`` event of the first success.
+    """
+    if airtime_us <= 0 or cca_us <= 0:
+        raise ValueError("airtime_us and cca_us must be > 0")
+    n = times.shape[0]
+    count("mac.contention_round")
+    count("mac.contention_candidates", n)
+    if n == 1:
+        # the reference lane's usual window: no sort, no walk
+        start = float(times[0])
+        cascade = Cascade(ids, [(start, start + airtime_us, ((0, 1),))])
+    else:
+        order = np.argsort(times, kind="stable")
+        groups, cancelled = _span_walk(times[order], airtime_us, cca_us)
+        cascade = Cascade(ids[order], groups, cancelled)
+    if cascade.succeeded:
+        start, _, spans = cascade.groups[-1]
+        emit(
+            "contention_win",
+            t_us=start,
+            node=cascade.members(spans)[0],
+            contenders=n,
+            collisions=cascade.collisions,
+        )
+    return cascade
+
+
 def resolve_contention(
     candidates: Sequence[Tuple[int, float]],
     airtime_us: float,
@@ -106,65 +243,25 @@ def resolve_contention(
     heard the beacon. With the paper's PER of 1e-4 the distinction is
     negligible and this is the standard simplification.
     """
-    if airtime_us <= 0 or cca_us <= 0:
-        raise ValueError("airtime_us and cca_us must be > 0")
     seen = set()
     for station, _ in candidates:
         if station in seen:
             raise ValueError(f"station {station} listed twice in contention")
         seen.add(station)
 
-    counter = itertools.count()
-    heap: List[Tuple[float, int, int]] = []
-    for station, t in candidates:
-        heapq.heappush(heap, (float(t), next(counter), station))
-    count("mac.contention_round")
-    count("mac.contention_candidates", len(candidates))
-
-    result = ContentionResult()
-    cur_start: Optional[float] = None
-    cur_end = 0.0
-    cur_members: List[int] = []
-    success_done_at: Optional[float] = None
-
-    def close_group() -> None:
-        nonlocal cur_start, cur_members, success_done_at
-        if cur_start is None:
-            return
-        tx = Transmission(cur_start, cur_end, tuple(cur_members))
-        result.transmissions.append(tx)
-        if tx.success and success_done_at is None:
-            success_done_at = tx.end_us
-        cur_start = None
-        cur_members = []
-
-    while heap:
-        t, _, station = heapq.heappop(heap)
-        if cur_start is not None and t >= cur_end:
-            close_group()
-        if success_done_at is not None and t >= success_done_at:
-            result.cancelled.append(station)
-            continue
-        if cur_start is None:
-            cur_start = t
-            cur_end = t + airtime_us
-            cur_members = [station]
-        elif t - cur_start < cca_us:
-            cur_members.append(station)  # inside vulnerability window: collision
-        else:
-            # Medium sensed busy: defer to the end of the busy period.
-            heapq.heappush(heap, (cur_end, next(counter), station))
-    close_group()
-    first = result.first_success
-    if first is not None:
-        emit(
-            "contention_win",
-            t_us=first.start_us,
-            node=first.members[0],
-            contenders=len(candidates),
-            collisions=result.collisions,
-        )
-    return result
+    cascade = contention_cascade(
+        np.array([station for station, _ in candidates], dtype=np.int64),
+        np.array([t for _, t in candidates], dtype=np.float64),
+        airtime_us,
+        cca_us,
+    )
+    return ContentionResult(
+        [
+            Transmission(start, end, cascade.members(spans))
+            for start, end, spans in cascade.groups
+        ],
+        list(cascade.members(cascade.cancelled)),
+    )
 
 
 def partition_domains(

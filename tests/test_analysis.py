@@ -138,6 +138,14 @@ class TestQuarantineGaps:
         assert max_pairwise_difference([None, float("nan")]) == 0.0
         assert max_pairwise_difference([3.0, None]) == 0.0
 
+    def test_max_pairwise_array_matches_list_path(self):
+        values = np.random.default_rng(3).normal(1e6, 40.0, size=257)
+        values[[4, 90]] = [np.nan, np.inf]
+        for arr in (values, values.astype(np.float32), values[:1], values[:0]):
+            assert max_pairwise_difference(arr) == max_pairwise_difference(
+                list(arr)
+            )
+
     def test_steady_state_skips_nan_gaps(self):
         trace = self.gap_trace([100.0] * 25 + [5.0, float("nan")] * 38)
         with np.errstate(all="raise"):
