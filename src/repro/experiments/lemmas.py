@@ -26,6 +26,7 @@ from repro.fastlane import run_sstsp_vectorized
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent
 from repro.network.ibss import build_network
 from repro.sim.units import S
+from repro.sweep import parse_ignoring_sweep_arguments
 
 
 def measure_contraction(m: int, n: int = 30, seed: int = 3) -> float:
@@ -74,7 +75,7 @@ def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
     parser = argparse.ArgumentParser(prog="repro lemmas", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="fewer m values")
-    args = parser.parse_args(argv)
+    args = parse_ignoring_sweep_arguments(parser, argv)
     m_values = (2, 4) if args.quick else (1, 2, 3, 4, 5)
 
     print("=== Lemma 1: per-BP error contraction ===")

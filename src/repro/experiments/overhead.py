@@ -24,6 +24,7 @@ from repro.analysis.overhead import (
 from repro.crypto.primitives import HASH_BYTES
 from repro.experiments.report import format_table
 from repro.phy.params import OFDM_54MBPS
+from repro.sweep import parse_ignoring_sweep_arguments
 
 
 def run(chain_length: int = 10_000, samples: int = 256):
@@ -45,7 +46,7 @@ def main(argv=None) -> None:
     parser.add_argument("--chain-length", type=int, default=10_000)
     parser.add_argument("--quick", action="store_true",
                         help="shorter chain (1024) for smoke runs")
-    args = parser.parse_args(argv)
+    args = parse_ignoring_sweep_arguments(parser, argv)
     chain_length = 1024 if args.quick else args.chain_length
 
     data = run(chain_length=chain_length, samples=min(256, chain_length))

@@ -18,6 +18,7 @@ from typing import Dict, Sequence
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import quick_spec
 from repro.network.ibss import build_network
+from repro.sweep import parse_ignoring_sweep_arguments
 
 PROTOCOLS = ("tsf", "atsp", "tatsp", "satsf", "rentel", "sstsp")
 
@@ -60,7 +61,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="repro related", description=__doc__)
     parser.add_argument("--quick", action="store_true", help="single size")
     parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args(argv)
+    args = parse_ignoring_sweep_arguments(parser, argv)
     n_values = (30,) if args.quick else (30, 100)
 
     rows = run(n_values=n_values, seed=args.seed)

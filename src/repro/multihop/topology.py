@@ -8,7 +8,7 @@ regular grids, and worst-case chains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -25,6 +25,10 @@ class Topology:
         self._neighbors: List[Tuple[int, ...]] = [
             tuple(sorted(graph.neighbors(i))) for i in range(len(expected))
         ]
+        # Query caches, filled on first use (construction stays cheap).
+        self._hop_cache: Dict[int, Dict[int, int]] = {}
+        self._two_hop_cache: Dict[int, Tuple[int, ...]] = {}
+        self._two_hop_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Builders
@@ -124,25 +128,44 @@ class Topology:
         return nx.diameter(self._graph)
 
     def hop_distances(self, root: int) -> Dict[int, int]:
-        """BFS hop distance from ``root`` to every reachable station."""
-        return dict(nx.single_source_shortest_path_length(self._graph, root))
+        """BFS hop distance from ``root`` to every reachable station.
+
+        Cached per root; every call returns a fresh dict, so a caller
+        mutating its copy cannot corrupt later calls."""
+        cached = self._hop_cache.get(root)
+        if cached is None:
+            cached = dict(nx.single_source_shortest_path_length(self._graph, root))
+            self._hop_cache[root] = cached
+        return dict(cached)
 
     def two_hop_neighbors(self, node: int) -> Tuple[int, ...]:
         """Stations within two hops (excluding ``node``): the interference
         domain for hidden-terminal scheduling. Cached per topology."""
-        cache = getattr(self, "_two_hop_cache", None)
-        if cache is None:
-            cache = {}
-            self._two_hop_cache = cache  # type: ignore[attr-defined]
-        cached = cache.get(node)
+        cached = self._two_hop_cache.get(node)
         if cached is None:
             reach = set(self._neighbors[node])
             for neighbor in self._neighbors[node]:
                 reach.update(self._neighbors[neighbor])
             reach.discard(node)
             cached = tuple(sorted(reach))
-            cache[node] = cached
+            self._two_hop_cache[node] = cached
         return cached
+
+    def two_hop_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``(node, other)`` two-hop pair as two parallel int arrays,
+        node-major and ``other`` ascending (the flattened
+        :meth:`two_hop_neighbors` lists). Built on first use."""
+        if self._two_hop_index is None:
+            lists = [self.two_hop_neighbors(node) for node in range(self.n)]
+            nodes = np.repeat(
+                np.arange(self.n, dtype=np.intp),
+                [len(others) for others in lists],
+            )
+            others = np.array(
+                [other for group in lists for other in group], dtype=np.intp
+            )
+            self._two_hop_index = (nodes, others)
+        return self._two_hop_index
 
     def edges(self) -> Iterable[Tuple[int, int]]:
         """Iterate over the radio links."""

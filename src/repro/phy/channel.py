@@ -198,7 +198,10 @@ class BroadcastChannel:
         j = self.phy.timestamp_jitter_us
         if j == 0.0:
             return 0.0
-        return float(self._rng.uniform(-j, j))
+        # Generator.uniform's own formula on the same double, without the
+        # per-call array machinery of the scalar uniform().
+        low = -j
+        return low + (j - low) * self._rng.random()
 
     def sample_timestamp_errors(self, n: int) -> np.ndarray:
         """Vectorised version of :meth:`sample_timestamp_error`."""
@@ -249,9 +252,6 @@ class SpatialBroadcastChannel(BroadcastChannel):
     ) -> None:
         super().__init__(phy, rng)
         self.topology = topology
-        self._neighbor_sets: Dict[int, FrozenSet[int]] = {
-            node: frozenset(topology.neighbors(node)) for node in range(topology.n)
-        }
         self._link_per: Dict[Tuple[int, int], float] = {}
         self._scoped_jams: List[Tuple[float, float, FrozenSet[int]]] = []
 
@@ -308,7 +308,8 @@ class SpatialBroadcastChannel(BroadcastChannel):
         transmissions:
             ``(sender, start_true_time)`` of every frame that went on air
             (the MAC's :func:`repro.mac.contention.resolve_neighborhood`
-            output), in start-time order.
+            output). Any order: frames are stably sorted by start time
+            here, so frames starting together keep their given order.
         receivers:
             Stations listening this window (callers pass them in
             ascending id order — the draw order contract).
@@ -320,13 +321,19 @@ class SpatialBroadcastChannel(BroadcastChannel):
             Optional extra gate ``(receiver, sender) -> bool`` applied on
             top of the topology (partition faults cut links this way).
 
-        Per receiver, audible frames are grouped by time overlap: a group
-        of two or more is a collision (nothing decodes, no loss draw); a
-        lone frame survives jamming and one loss draw. With the default
+        Delivery is transmitter-driven: each frame, in start-time order,
+        is placed on the heard list of every topology neighbour of its
+        sender, so a window costs the sum of its senders' degrees
+        (counted as ``phy.heard_pair``), not receivers x transmissions.
+        Receivers are then walked in the given order. Per receiver,
+        audible frames are grouped by time overlap: a group of two or
+        more is a collision (nothing decodes, no loss draw); a lone frame
+        survives jamming and one loss draw. With the default
         ``per_receiver`` loss model the draw happens per (receiver,
         frame); ``per_transmission`` / Gilbert-Elliott models and the
         fault-injection override draw one whole-frame fate per
-        transmission, exactly like :meth:`BroadcastChannel.broadcast`.
+        transmission, in the given order and before any receiver, exactly
+        like :meth:`BroadcastChannel.broadcast`.
         """
         if airtime_us <= 0:
             raise ValueError("airtime_us must be > 0")
@@ -352,19 +359,31 @@ class SpatialBroadcastChannel(BroadcastChannel):
                     count("phy.per_draw")
                     frame_delivered[sender] = bool(self._rng.random() >= per)
 
+        neighbors = self.topology.neighbors
+        heard_by: Dict[int, List[Tuple[int, float]]] = {}
+        pairs = 0
+        for frame in sorted(transmissions, key=lambda item: item[1]):
+            hearers = neighbors(frame[0])
+            pairs += len(hearers)
+            for receiver in hearers:
+                heard_by.setdefault(receiver, []).append(frame)
+        if pairs:
+            count("phy.heard_pair", pairs)
+
         delivery = WindowDelivery()
         static_per = self.phy.packet_error_rate
+        link_per = self._link_per
+        jammed = self._jammed_for if self._jam_starts or self._scoped_jams else None
+        random = self._rng.random
+        collisions = attempts = draws = jammed_drops = per_drops = deliveries = 0
         for receiver in receivers:
-            hears = self._neighbor_sets.get(receiver, frozenset())
-            heard = [
-                (sender, start)
-                for sender, start in transmissions
-                if sender in hears
-                and (audible is None or audible(receiver, sender))
-            ]
-            if not heard:
+            heard = heard_by.get(receiver)
+            if heard is None:
                 continue
-            heard.sort(key=lambda item: item[1])
+            if audible is not None:
+                heard = [frame for frame in heard if audible(receiver, frame[0])]
+                if not heard:
+                    continue
             decoded: List[int] = []
             index = 0
             while index < len(heard):
@@ -373,39 +392,50 @@ class SpatialBroadcastChannel(BroadcastChannel):
                 while j < len(heard) and heard[j][1] < group_end:
                     group_end = max(group_end, heard[j][1] + airtime_us)
                     j += 1
-                group = heard[index:j]
+                if j - index > 1:
+                    collisions += 1
+                    index = j
+                    continue
+                sender, start = heard[index]
                 index = j
-                if len(group) > 1:
-                    count("phy.collision_group")
-                    delivery.collisions += 1
-                    self.stats.collisions += 1
+                attempts += 1
+                if jammed is not None and jammed(receiver, start):
+                    jammed_drops += 1
                     continue
-                sender, start = group[0]
-                count("phy.delivery_attempt")
-                if self._jammed_for(receiver, start):
-                    self.stats.jammed_drops += 1
-                    continue
-                link = self._link_per.get((sender, receiver))
+                link = link_per.get((sender, receiver)) if link_per else None
                 if link is not None:
                     if link <= 0.0:
                         ok = True
                     else:
-                        count("phy.per_draw")
-                        ok = bool(self._rng.random() >= link)
+                        draws += 1
+                        ok = random() >= link
                 elif frame_delivered is not None:
                     ok = frame_delivered[sender]
                 elif static_per <= 0.0:
                     ok = True
                 else:
-                    count("phy.per_draw")
-                    ok = bool(self._rng.random() >= static_per)
+                    draws += 1
+                    ok = random() >= static_per
                 if ok:
-                    self.stats.deliveries += 1
+                    deliveries += 1
                     decoded.append(sender)
                 else:
-                    self.stats.per_drops += 1
+                    per_drops += 1
             if decoded:
                 delivery.receptions[receiver] = decoded
+        delivery.collisions = collisions
+        stats = self.stats
+        stats.collisions += collisions
+        stats.jammed_drops += jammed_drops
+        stats.per_drops += per_drops
+        stats.deliveries += deliveries
+        for key, tally in (
+            ("phy.collision_group", collisions),
+            ("phy.delivery_attempt", attempts),
+            ("phy.per_draw", draws),
+        ):
+            if tally:
+                count(key, tally)
         return delivery
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.clocks.adjusted import AdjustedClock, MonotonicityError
 from repro.clocks.chain import ClockChain
 from repro.core.adjustment import (
@@ -35,6 +37,7 @@ from repro.core.adjustment import (
 )
 from repro.core.config import SstspConfig
 from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.obs.counters import count
 from repro.obs.events import emit
 from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
@@ -53,16 +56,44 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class _RotationTable:
-    """Relay-rotation phase assignments, shared by a protocol family.
+    """Relay-rotation state, shared by a protocol family.
 
-    Keyed ``(node, hop, cycle)`` so a station is re-colored when its hop
-    (and thus its conflict set) changes.
+    :attr:`phase` holds the phase assignments, keyed ``(node, hop,
+    cycle)`` so a station is re-colored when its hop (and thus its
+    conflict set) changes. :meth:`same_hop_count` serves every station's
+    same-hop two-hop count from one snapshot per period: hops and
+    presence do not change while the harness collects a period's
+    transmissions, so the snapshot is exact for every caller of that
+    period.
     """
 
-    __slots__ = ("phase",)
+    __slots__ = ("phase", "_period", "_same_hop")
 
     def __init__(self) -> None:
         self.phase: Dict[Tuple[int, Optional[int], int], int] = {}
+        self._period: Optional[int] = None
+        self._same_hop: List[int] = []
+
+    def same_hop_count(self, node: int, period: int, ctx: MultiHopContext) -> int:
+        """Present stations within two hops of ``node`` on ``node``'s hop."""
+        if period != self._period:
+            self._same_hop = self._snapshot(ctx)
+            self._period = period
+        return self._same_hop[node]
+
+    @staticmethod
+    def _snapshot(ctx: MultiHopContext) -> List[int]:
+        topology = ctx.topology
+        nodes, others = topology.two_hop_index()
+        if nodes.size:
+            count("mac.two_hop_visit", int(nodes.size))
+        stations = range(topology.n)
+        raw_hops = [ctx.state_of(i).hop for i in stations]
+        # -1 stands for "no hop yet" (real hops are >= 0).
+        hops = np.array([-1 if h is None else h for h in raw_hops], dtype=np.int64)
+        present = np.array([ctx.is_present(i) for i in stations], dtype=bool)
+        same = present[others] & (hops[others] == hops[nodes])
+        return np.bincount(nodes[same], minlength=topology.n).tolist()
 
 
 class SstspRelayProtocol(MultiHopProtocol):
@@ -162,11 +193,7 @@ class SstspRelayProtocol(MultiHopProtocol):
         spec = self.spec
         if spec.relay_probability < 1.0:
             return ctx.slot_rng.random() < spec.relay_probability
-        same_hop = sum(
-            1
-            for other in spec.topology.two_hop_neighbors(self.node_id)
-            if ctx.is_present(other) and ctx.state_of(other).hop == self.hop
-        )
+        same_hop = self._rotation.same_hop_count(self.node_id, period, ctx)
         if same_hop == 0:
             return True
         cycle = min(4, 1 + same_hop)
@@ -197,7 +224,7 @@ class SstspRelayProtocol(MultiHopProtocol):
             if other_phase is not None:
                 used[other_phase] += 1
         least = min(used)
-        candidates = [p for p, count in enumerate(used) if count == least]
+        candidates = [p for p, uses in enumerate(used) if uses == least]
         phase = candidates[self.node_id % len(candidates)]
         table[key] = phase
         return phase

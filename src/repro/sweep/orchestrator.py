@@ -219,6 +219,32 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def parse_ignoring_sweep_arguments(
+    parser: argparse.ArgumentParser, argv: Optional[Sequence[str]]
+) -> argparse.Namespace:
+    """Parse ``argv`` for an experiment that runs no job sweep.
+
+    The shared sweep flags are accepted (``repro all`` passes every
+    argument to every experiment) and have no effect; when any is given,
+    one notice line on standard error says they were ignored.
+    """
+    add_sweep_arguments(parser)
+    args = parser.parse_args(argv)
+    reference = argparse.ArgumentParser()
+    add_sweep_arguments(reference)
+    ignored = [
+        "--" + dest.replace("_", "-")
+        for dest, default in vars(reference.parse_args([])).items()
+        if getattr(args, dest) != default
+    ]
+    if ignored:
+        print(
+            f"{parser.prog}: runs no job sweep; ignoring {' '.join(ignored)}",
+            file=sys.stderr,
+        )
+    return args
+
+
 def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
     """Build :class:`SweepOptions` from parsed CLI arguments.
 

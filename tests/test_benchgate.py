@@ -3,7 +3,7 @@
 Covers the BENCH_*.json format (byte-stable write, schema-versioned
 load), the comparison semantics (noise band, noise floor, missing/new,
 accuracy drift, exact work-counter gating), the CLI exit codes, and —
-the acceptance criterion — that the committed ``BENCH_10.json`` baseline
+the acceptance criterion — that the committed ``BENCH_13.json`` baseline
 passes a self-gate while a synthetic 2x slowdown or an injected
 work-counter regression of it fails.
 """
@@ -27,7 +27,7 @@ from repro.analysis.benchgate import (
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE = os.path.join(REPO_ROOT, "BENCH_10.json")
+BASELINE = os.path.join(REPO_ROOT, "BENCH_13.json")
 
 
 def record(name: str, median: float, extra=None, work=None):
@@ -228,11 +228,11 @@ class TestCli:
 
 
 class TestCommittedBaseline:
-    """Acceptance: the repo's own BENCH_10.json gates correctly."""
+    """Acceptance: the repo's own BENCH_13.json (the CI baseline) gates correctly."""
 
     def test_baseline_exists_and_loads(self):
         payload_ = load_bench_json(BASELINE)
-        assert payload_["label"] == "10"
+        assert payload_["label"] == "13"
         assert payload_["benchmarks"], "baseline must not be empty"
         assert (
             "benchmarks/bench_shootout.py::test_shootout_suite"

@@ -45,3 +45,15 @@ def test_missing_experiment_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["overhead", "lemmas", "related"])
+def test_sweepless_experiments_accept_the_shared_sweep_flags(command, capsys):
+    # `repro all` passes every argument to every experiment, so the
+    # experiments that run no sweep must take the shared flags too.
+    assert main([command, "--quick", "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"repro {command}: runs no job sweep; ignoring --no-cache\n"
+    )
+    assert captured.out

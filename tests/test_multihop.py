@@ -49,6 +49,32 @@ class TestTopology:
         hops = topo.hop_distances(0)
         assert hops == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
+    def test_hop_distances_copy_cannot_corrupt_the_cache(self):
+        topo = Topology.grid(3, 3)
+        first = topo.hop_distances(4)
+        want = dict(first)
+        first[4] = 99
+        first.pop(0)
+        first[100] = 1
+        again = topo.hop_distances(4)
+        assert again == want
+        assert again is not topo.hop_distances(4)
+
+    def test_queries_build_no_index_at_construction(self):
+        topo = Topology.grid(4, 4)
+        assert topo._two_hop_index is None
+        assert not topo._two_hop_cache and not topo._hop_cache
+
+    def test_two_hop_index_flattens_two_hop_neighbors(self):
+        topo = Topology.grid(4, 5, diagonal=True)
+        nodes, others = topo.two_hop_index()
+        pairs = list(zip(nodes.tolist(), others.tolist()))
+        assert pairs == [
+            (node, other)
+            for node in range(topo.n)
+            for other in topo.two_hop_neighbors(node)
+        ]
+
     def test_node_labels_validated(self):
         import networkx as nx
 

@@ -84,6 +84,14 @@ class TestBroadcastChannel:
         scalar = channel.sample_timestamp_error()
         assert abs(scalar) <= 2.0
 
+    def test_scalar_timestamp_error_is_generator_uniform(self):
+        # Same stream, same doubles as Generator.uniform(-j, j).
+        phy = PhyParams(timestamp_jitter_us=2.5)
+        channel = BroadcastChannel(phy, np.random.default_rng(17))
+        reference = np.random.default_rng(17)
+        for _ in range(20_000):
+            assert channel.sample_timestamp_error() == reference.uniform(-2.5, 2.5)
+
     def test_zero_jitter(self, rng):
         channel = BroadcastChannel(PhyParams(timestamp_jitter_us=0.0), rng)
         assert channel.sample_timestamp_error() == 0.0
