@@ -319,7 +319,7 @@ class WallClockRead(Rule):
     Simulated time comes from the event engine; host time leaking into
     model code makes results depend on machine speed and scheduling.
     Only the allowlisted orchestrator (progress/ETA display) and the
-    profiling module (section timers that report, never feed back into
+    profiling module (spans that report, never feed back into
     results) may look at the real clock.
     """
 

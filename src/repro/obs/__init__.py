@@ -1,14 +1,15 @@
 """Observability layer: event tracing, metrics, and profiling.
 
-Three concerns, three modules:
+Four concerns, four modules:
 
 * :mod:`repro.obs.events` — the structured event-tracing bus the kernel
   emits protocol events onto (strict no-op when disabled);
 * :mod:`repro.obs.registry` — counters / gauges / histogram summaries,
   per-run with per-sweep roll-up;
-* :mod:`repro.obs.profile` — opt-in wall-clock section timers and
-  hierarchical spans (chrome-trace export), the one module allowed to
-  read the host clock;
+* :mod:`repro.obs.profile` — the one opt-in wall-clock
+  :class:`~repro.obs.profile.Profiler`: hierarchical spans with
+  per-name totals for the sweep summary and a Chrome-trace export, the
+  one module allowed to read the host clock;
 * :mod:`repro.obs.counters` — deterministic work counters: no clock, no
   randomness, byte-identical tallies on every machine (the bench gate's
   zero-tolerance work metrics).
@@ -20,8 +21,6 @@ from repro.obs.counters import (
     WorkCounters,
     count,
     count_work,
-    counting_enabled,
-    counts_to_metrics,
     current_counters,
     diff_counts,
     merge_counts,
@@ -36,17 +35,12 @@ from repro.obs.events import (
     observe_run,
     observe_value,
     read_events,
-    tracing_enabled,
 )
 from repro.obs.events_schema import EVENT_SCHEMAS, EventSpec, validate_record
 from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
-    SpanProfiler,
     profile_spans,
     span,
-    span_profiling_enabled,
 )
 from repro.obs.registry import HistogramSummary, MetricsRegistry, merge_snapshots
 
@@ -62,22 +56,15 @@ __all__ = [
     "observe_run",
     "observe_value",
     "read_events",
-    "tracing_enabled",
     "HistogramSummary",
     "MetricsRegistry",
     "merge_snapshots",
-    "NULL_PROFILER",
-    "NullProfiler",
     "Profiler",
-    "SpanProfiler",
     "profile_spans",
     "span",
-    "span_profiling_enabled",
     "WorkCounters",
     "count",
     "count_work",
-    "counting_enabled",
-    "counts_to_metrics",
     "current_counters",
     "diff_counts",
     "merge_counts",

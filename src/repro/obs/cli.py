@@ -24,10 +24,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import EVENT_CATALOG, read_events
+
+
+def _existing_file(path: str) -> str:
+    """argparse type: ``path`` must name an existing file (or pipe)."""
+    if not os.path.exists(path) or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path}")
+    return path
+
+
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _load(path: str) -> List[Dict[str, Any]]:
@@ -245,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_summary = sub.add_parser("summary", help="per-event counts and highlights")
-    p_summary.add_argument("trace", help="trace JSONL path")
+    p_summary.add_argument("trace", type=_existing_file, help="trace JSONL path")
     p_summary.set_defaults(func=_cmd_summary)
 
     p_filter = sub.add_parser("filter", help="select and print matching records")
-    p_filter.add_argument("trace", help="trace JSONL path")
+    p_filter.add_argument("trace", type=_existing_file, help="trace JSONL path")
     p_filter.add_argument(
         "--event", action="append", default=None,
         help="keep only this event kind (repeatable)",
@@ -264,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=_cmd_filter)
 
     p_diff = sub.add_parser("diff", help="compare two traces (exit 1 if different)")
-    p_diff.add_argument("left", help="baseline trace JSONL path")
-    p_diff.add_argument("right", help="candidate trace JSONL path")
+    p_diff.add_argument("left", type=_existing_file, help="baseline trace JSONL path")
+    p_diff.add_argument("right", type=_existing_file, help="candidate trace JSONL path")
     p_diff.add_argument(
-        "--limit", type=int, default=20, help="max differences to print"
+        "--limit", type=_positive_int, default=20,
+        help="max differences to print (>= 1)",
     )
     p_diff.set_defaults(func=_cmd_diff)
 
@@ -275,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="re-election windows vs the Lemma 2 (l+2)-period bound",
     )
-    p_conv.add_argument("trace", help="trace JSONL path")
+    p_conv.add_argument("trace", type=_existing_file, help="trace JSONL path")
     p_conv.add_argument(
         "--l", type=int, default=2, dest="l",
         help="frame-loss tolerance l in the (l+2) bound (default 2)",

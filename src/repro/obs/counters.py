@@ -95,11 +95,6 @@ def count(name: str, by: int = 1) -> None:
         sink.add(name, by)
 
 
-def counting_enabled() -> bool:
-    """Whether a sink is installed (hot loops may check once)."""
-    return _COUNTERS is not None
-
-
 def current_counters() -> Optional[WorkCounters]:
     """The installed sink, or None."""
     return _COUNTERS
@@ -163,28 +158,11 @@ class work_lane:
 # Snapshot utilities (merging, diffing, serialization)
 # ---------------------------------------------------------------------------
 
-#: Counter-key prefix under which work counters land in a
-#: :meth:`repro.obs.registry.MetricsRegistry.snapshot`-shaped payload.
-WORK_METRIC_PREFIX = "work."
-
-
 def merge_counts(total: Dict[str, int], part: Mapping[str, int]) -> Dict[str, int]:
     """Fold ``part`` into ``total`` in place (counters add); returns it."""
     for key in sorted(part):
         total[key] = total.get(key, 0) + part[key]
     return total
-
-
-def counts_to_metrics(counts: Mapping[str, int]) -> Dict[str, int]:
-    """Work counters as registry-style counter keys (``work.<key>``).
-
-    The sweep orchestrator folds these into each job's metrics snapshot
-    so :func:`repro.obs.registry.merge_snapshots` rolls work up into the
-    ``sweep_end`` aggregate alongside the event counters.
-    """
-    return {
-        f"{WORK_METRIC_PREFIX}{key}": counts[key] for key in sorted(counts)
-    }
 
 
 def diff_counts(

@@ -55,19 +55,13 @@ class RunObserver:
     path:
         JSONL destination, or None for in-memory only. The file is
         opened immediately and receives a ``trace_header`` record.
-    keep_events:
-        Retain events in :attr:`events` (default: True when no path is
-        given, else False — long runs stream to disk without holding
-        the whole trace in memory).
+        Events are retained in :attr:`events` exactly when there is no
+        path — long runs stream to disk without holding the whole trace
+        in memory.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        keep_events: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.keep_events = keep_events if keep_events is not None else path is None
         self.events: List[Dict[str, Any]] = []
         self.registry = MetricsRegistry()
         self._seq = 0
@@ -98,7 +92,7 @@ class RunObserver:
         if node is not None:
             record["node"] = node
         record.update(fields)
-        if self.keep_events:
+        if self.path is None:
             self.events.append(record)
         self._write(record)
         self.registry.inc(f"events.{event}", node=node)
@@ -163,11 +157,6 @@ def observe_value(name: str, value: float, node: Optional[int] = None) -> None:
         observer.observe_value(name, value, node=node)
 
 
-def tracing_enabled() -> bool:
-    """Whether an observer is installed (hot loops may check once)."""
-    return _OBSERVER is not None
-
-
 def current_observer() -> Optional[RunObserver]:
     """The installed observer, or None."""
     return _OBSERVER
@@ -188,10 +177,8 @@ class observe_run:
     reachable as ``observe_run(...).observer`` in tests.
     """
 
-    def __init__(
-        self, path: Optional[str] = None, keep_events: Optional[bool] = None
-    ) -> None:
-        self.observer = RunObserver(path=path, keep_events=keep_events)
+    def __init__(self, path: Optional[str] = None) -> None:
+        self.observer = RunObserver(path=path)
         self._previous: Optional[RunObserver] = None
 
     def __enter__(self) -> RunObserver:

@@ -32,6 +32,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.obs.cli import _existing_file
 from repro.obs.counters import (
     count_work,
     diff_counts,
@@ -39,7 +40,7 @@ from repro.obs.counters import (
     load_counts_json,
     write_counts_json,
 )
-from repro.obs.profile import SpanProfiler, profile_spans
+from repro.obs.profile import profile_spans
 
 #: Where profile artifacts land unless ``--out-dir`` says otherwise.
 DEFAULT_OUT_DIR = os.path.join("results", "profile")
@@ -59,6 +60,17 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Any]:
     return params
 
 
+def _job_kind(kind: str) -> str:
+    """argparse type: ``kind`` must be a registered job kind."""
+    from repro.sweep.jobs import resolve_job
+
+    try:
+        resolve_job(kind)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return kind
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sweep.jobs import execute_job
     from repro.sweep.spec import JobSpec
@@ -71,8 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.out_dir, f"{spec.kind}-{spec.spec_hash()[:16]}{args.suffix}"
     )
 
-    profiler = SpanProfiler()
-    with profile_spans(profiler), count_work() as work:
+    with profile_spans() as profiler, count_work() as work:
         with profiler.span("job"):
             execute_job(spec)
 
@@ -121,7 +132,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run", help="run one job under spans + work counters"
     )
     run_p.add_argument(
-        "kind", help="registered job kind (e.g. multihop_run, scenario_trace)"
+        "kind", type=_job_kind,
+        help="registered job kind (e.g. multihop_run, scenario_trace)",
     )
     run_p.add_argument(
         "--param", action="append", metavar="KEY=VALUE",
@@ -144,8 +156,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff_p = sub.add_parser(
         "diff", help="compare two counters.json files (exit 1 on drift)"
     )
-    diff_p.add_argument("a", help="first counters.json")
-    diff_p.add_argument("b", help="second counters.json")
+    diff_p.add_argument("a", type=_existing_file, help="first counters.json")
+    diff_p.add_argument("b", type=_existing_file, help="second counters.json")
     diff_p.set_defaults(func=_cmd_diff)
 
     args = parser.parse_args(argv)

@@ -29,6 +29,7 @@ CLIs default one under ``results/sweep_logs/``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -41,6 +42,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
+    ContextManager,
     Deque,
     Dict,
     Iterator,
@@ -51,9 +54,9 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.counters import count_work, counts_to_metrics
+from repro.obs.counters import count_work
 from repro.obs.events import observe_run
-from repro.obs.profile import NULL_PROFILER, Profiler
+from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.sweep.failpolicy import (
@@ -93,7 +96,8 @@ class SweepOptions:
         ran); use ``--no-cache`` or a fresh cache to trace everything.
     profile:
         Attribute sweep wall time to phases (cache / engine / log) with
-        wall-clock section timers; totals go to the run log and, with
+        a wall-clock :class:`~repro.obs.profile.Profiler`, built only
+        when set; totals go to the run log and, with
         ``progress``, to stderr.
     policy:
         The :class:`~repro.sweep.failpolicy.FailurePolicy` governing
@@ -414,14 +418,16 @@ def _execute_observed(
     is always the successful attempt's — byte-identical to a first-try
     success."""
     path = _job_trace_path(trace_dir, spec)
-    with observe_run(path, keep_events=False) as observer:
+    with observe_run(path) as observer:
         with count_work() as work:
             value = execute_job(spec, attempt=attempt, inject=inject)
     metrics = observer.registry.snapshot()
     # Work counters ride in the metrics snapshot under ``work.``-prefixed
     # counter keys, so merge_snapshots rolls them into the sweep_end
     # aggregate alongside the event counters with no schema change.
-    metrics["counters"].update(counts_to_metrics(work.snapshot()))
+    metrics["counters"].update(
+        {f"work.{key}": n for key, n in work.snapshot().items()}
+    )
     payload = {
         "trace_path": path,
         "events": observer.event_count,
@@ -507,7 +513,14 @@ def run_sweep(
     trace_dir = options.trace_dir
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-    profiler = Profiler() if options.profile else NULL_PROFILER
+    profiler = Profiler() if options.profile else None
+
+    def phase(name: str) -> ContextManager[Any]:
+        """Time one ``cache``/``engine``/``log`` phase when profiling."""
+        if profiler is None:
+            return contextlib.nullcontext()
+        return profiler.span(name)
+
     log_path = options.log_path
     if log_path is None and options.progress and specs:
         log_path = _default_log_path(name)
@@ -553,7 +566,7 @@ def run_sweep(
 
         def log_job(index: int, source: str, wall_s: float) -> None:
             spec = specs[index]
-            with profiler.section("log"):
+            with phase("log"):
                 log.write({
                     "event": "job",
                     "sweep": name,
@@ -570,7 +583,7 @@ def run_sweep(
             aggregate (counters/histograms add, gauges last-write)."""
             merge_snapshots(metrics_total, payload["metrics"])
             spec = specs[index]
-            with profiler.section("log"):
+            with phase("log"):
                 log.write({
                     "event": "job_obs",
                     "sweep": name,
@@ -586,7 +599,7 @@ def run_sweep(
         for index, spec in enumerate(specs):
             if cache is not None:
                 t0 = time.perf_counter()
-                with profiler.section("cache"):
+                with phase("cache"):
                     hit, value = cache.get(spec)
                 if hit:
                     values[index] = value
@@ -616,7 +629,7 @@ def run_sweep(
             miss_walls.append(wall_s)
             done += 1
             if cache is not None:
-                with profiler.section("cache"):
+                with phase("cache"):
                     cache.put(specs[index], value)
             if manifest is not None:
                 manifest.mark(specs[index], "completed", attempts=attempts)
@@ -651,7 +664,7 @@ def run_sweep(
             done += 1
             if manifest is not None:
                 manifest.mark(spec, "quarantined", attempts=attempts, reason=reason)
-            with profiler.section("log"):
+            with phase("log"):
                 record = {"event": "job_quarantined", "sweep": name}
                 record.update(failure.to_dict())
                 log.write(record)
@@ -677,7 +690,7 @@ def run_sweep(
                 stats.retries += 1
                 registry.inc("sweep.job_retry")
                 backoff_s = policy.backoff_s(spec, attempt + 1)
-                with profiler.section("log"):
+                with phase("log"):
                     log.write({
                         "event": "job_retry",
                         "sweep": name,
@@ -703,12 +716,12 @@ def run_sweep(
         try:
             if options.workers == 1 or len(pending) <= 1:
                 _run_serial(
-                    specs, pending, policy, trace_dir, profiler, guard,
+                    specs, pending, policy, trace_dir, phase, guard,
                     finish, on_failure, log_job_obs,
                 )
             else:
                 crashes = _run_parallel(
-                    specs, pending, options, policy, trace_dir, profiler,
+                    specs, pending, options, policy, trace_dir, phase,
                     guard, finish, on_failure, log_job_obs, log, name,
                     registry,
                 )
@@ -739,7 +752,7 @@ def run_sweep(
             }
             if trace_dir is not None or metrics_total:
                 end_record["metrics"] = metrics_total
-            if profiler.enabled:
+            if profiler is not None:
                 end_record["profile"] = profiler.totals()
             log.write(end_record)
             if manifest is not None and manifest_path is not None:
@@ -773,7 +786,7 @@ def run_sweep(
                     f"{failure.attempts} attempts)",
                     file=err,
                 )
-        if profiler.enabled:
+        if profiler is not None:
             print(
                 f"[sweep {name}] profile: "
                 f"{profiler.format_summary(stats.wall_s)}",
@@ -787,7 +800,7 @@ def _run_serial(
     pending: List[int],
     policy: FailurePolicy,
     trace_dir: Optional[str],
-    profiler: Any,
+    phase: Callable[[str], ContextManager[Any]],
     guard: _InterruptGuard,
     finish: Any,
     on_failure: Any,
@@ -801,7 +814,7 @@ def _run_serial(
         while True:
             attempt += 1
             try:
-                with profiler.section("engine"):
+                with phase("engine"):
                     value, payload, wall_s = _attempt_job(
                         specs[index], attempt, policy, trace_dir
                     )
@@ -821,7 +834,7 @@ def _run_parallel(
     options: SweepOptions,
     policy: FailurePolicy,
     trace_dir: Optional[str],
-    profiler: Any,
+    phase: Callable[[str], ContextManager[Any]],
     guard: _InterruptGuard,
     finish: Any,
     on_failure: Any,
@@ -881,7 +894,7 @@ def _run_parallel(
                         _attempt_job, specs[index], attempt, policy, trace_dir
                     )
                     outstanding[future] = (index, attempt)
-                with profiler.section("engine"):
+                with phase("engine"):
                     finished, _ = wait(
                         list(outstanding), timeout=0.2,
                         return_when=FIRST_COMPLETED,

@@ -25,7 +25,7 @@ SLOT = 9.0
 
 
 def _observed(resolve, *args):
-    with observe_run(keep_events=True) as obs, count_work() as work:
+    with observe_run() as obs, count_work() as work:
         out = resolve(*args)
     return out, work.snapshot(), obs.events
 

@@ -25,7 +25,7 @@ from repro.multihop.runner import MultiHopSpec, degenerate_scenario, run_multiho
 from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec, build_network, build_sstsp_network
-from repro.obs import observe_run, tracing_enabled
+from repro.obs import current_observer, observe_run
 
 #: The shared scenarios: (id, spec, relative tail tolerance).
 SCENARIOS = [
@@ -112,10 +112,10 @@ class TestTracingParity:
 
     def test_oo_lane_bit_identical_with_tracing(self, tmp_path):
         plain = build_network("sstsp", self.SPEC).run()
-        assert not tracing_enabled()
+        assert current_observer() is None
         with observe_run(str(tmp_path / "oo.jsonl")) as obs:
             traced = build_network("sstsp", self.SPEC).run()
-        assert not tracing_enabled()
+        assert current_observer() is None
         _assert_bit_identical(plain.trace, traced.trace)
         assert plain.successful_beacons == traced.successful_beacons
         assert obs.event_count > 0, "instrumented run produced no events"

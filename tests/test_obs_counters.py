@@ -20,6 +20,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from repro.fastlane import run_sstsp_vectorized
 from repro.multihop.runner import MultiHopSpec, run_multihop
@@ -27,12 +28,9 @@ from repro.multihop.topology import Topology
 from repro.network.ibss import ScenarioSpec, build_network
 from repro.obs import observe_run
 from repro.obs.counters import (
-    WORK_METRIC_PREFIX,
     WorkCounters,
     count,
     count_work,
-    counting_enabled,
-    counts_to_metrics,
     current_counters,
     diff_counts,
     format_report,
@@ -41,13 +39,7 @@ from repro.obs.counters import (
     work_lane,
     write_counts_json,
 )
-from repro.obs.profile import (
-    Profiler,
-    SpanProfiler,
-    profile_spans,
-    span,
-    span_profiling_enabled,
-)
+from repro.obs.profile import Profiler, profile_spans, span
 from repro.obs.profilecli import main as profile_main
 from repro.sweep import JobSpec, SweepOptions, run_sweep
 
@@ -75,20 +67,19 @@ def _assert_bit_identical(a, b):
 
 class TestWorkCountersApi:
     def test_disabled_count_is_a_noop(self):
-        assert not counting_enabled()
         assert current_counters() is None
         count("engine.heap_push")  # must not raise, must not record
         count("engine.heap_push", 100)
-        assert not counting_enabled()
+        assert current_counters() is None
 
     def test_count_work_installs_and_restores_the_sink(self):
         with count_work() as work:
-            assert counting_enabled()
             assert current_counters() is work
             count("a")
             count("a", 2)
             count("b", 5)
-        assert not counting_enabled()
+        assert current_counters() is None
+        count("a")  # after exit: not recorded
         assert work.snapshot() == {"a": 3, "b": 5}
 
     def test_lanes_nest_and_the_innermost_owns_the_work(self):
@@ -110,15 +101,11 @@ class TestWorkCountersApi:
     def test_work_lane_without_a_sink_is_a_noop(self):
         with work_lane("fastlane/sstsp"):
             count("phy.per_draw")
-        assert not counting_enabled()
+        assert current_counters() is None
 
     def test_merge_diff_metrics_and_report(self):
         total = merge_counts({"a": 1}, {"a": 2, "b": 3})
         assert total == {"a": 3, "b": 3}
-        assert counts_to_metrics({"b": 3, "a": 1}) == {
-            f"{WORK_METRIC_PREFIX}a": 1,
-            f"{WORK_METRIC_PREFIX}b": 3,
-        }
         # absent keys diff as zero, identical tallies diff as empty
         assert diff_counts({"a": 1}, {"a": 1}) == []
         assert diff_counts({"a": 1, "b": 2}, {"a": 3}) == [
@@ -222,7 +209,7 @@ class TestSweepWorkMetrics:
         return {
             key: value
             for key, value in end["metrics"]["counters"].items()
-            if key.startswith(WORK_METRIC_PREFIX)
+            if key.startswith("work.")
         }
 
     def test_work_rolls_up_identically_across_worker_counts(self, tmp_path):
@@ -241,7 +228,7 @@ class TestSweepWorkMetrics:
             tallies[workers] = self._sweep_end_work(log_path)
         assert tallies[1], "sweep_end carries no work counters"
         assert any(
-            key.startswith(f"{WORK_METRIC_PREFIX}fastlane/sstsp/")
+            key.startswith("work.fastlane/sstsp/")
             for key in tallies[1]
         )
         assert tallies[1] == tallies[4]
@@ -258,7 +245,7 @@ class _FakeClock:
 class TestSpanProfiler:
     def test_nested_attribution_with_a_fake_clock(self):
         clock = _FakeClock()
-        profiler = SpanProfiler(clock=clock)
+        profiler = Profiler(clock=clock)
         with profiler.span("outer"):
             clock.now = 1.0
             with profiler.span("inner"):
@@ -278,14 +265,14 @@ class TestSpanProfiler:
             "name": "inner", "count": 1, "total_s": 2.0, "self_s": 2.0,
             "children": [],
         }
-        # the flat Profiler view keeps working on a span profiler
+        # the per-name view is derived from the per-path nodes
         assert profiler.totals() == {"inner": 2.0, "outer": 5.0}
         assert profiler.counts() == {"inner": 1, "outer": 2}
         assert "outer" in profiler.format_tree()
 
     def test_chrome_trace_schema(self):
         clock = _FakeClock()
-        profiler = SpanProfiler(clock=clock)
+        profiler = Profiler(clock=clock)
         with profiler.span("outer"):
             clock.now = 1.0
             with profiler.span("inner"):
@@ -308,7 +295,7 @@ class TestSpanProfiler:
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         clock = _FakeClock()
-        profiler = SpanProfiler(clock=clock)
+        profiler = Profiler(clock=clock)
         with profiler.span("a"):
             clock.now = 1.0
         path = profiler.write_chrome_trace(str(tmp_path / "trace.json"))
@@ -316,16 +303,32 @@ class TestSpanProfiler:
             payload = json.load(fh)
         assert payload["traceEvents"][0]["name"] == "a"
 
+    def test_totals_sum_a_name_over_every_path(self):
+        clock = _FakeClock()
+        profiler = Profiler(clock=clock)
+        with profiler.span("log"):
+            clock.now = 1.0
+        with profiler.span("engine"):
+            with profiler.span("log"):
+                clock.now = 3.0
+        assert profiler.totals() == {"engine": 2.0, "log": 3.0}
+        assert profiler.counts() == {"engine": 1, "log": 2}
+
     def test_free_span_is_a_noop_until_installed(self):
-        assert not span_profiling_enabled()
         with span("anything"):
             pass  # no profiler installed: must not record or raise
         with profile_spans() as profiler:
-            assert span_profiling_enabled()
             with span("phase"):
                 pass
-        assert not span_profiling_enabled()
-        assert profiler.counts() == {"phase": 1}
+            with profile_spans() as inner:
+                with span("nested"):
+                    pass
+            with span("phase"):
+                pass  # the outer profiler is back after the inner exits
+        with span("after"):
+            pass  # uninstalled on exit: not recorded
+        assert profiler.counts() == {"phase": 2}
+        assert inner.counts() == {"nested": 1}
 
     def test_runner_spans_reach_the_installed_profiler(self):
         with profile_spans() as profiler:
@@ -339,9 +342,11 @@ class TestSpanProfiler:
         assert "multihop.period/multihop.receptions" in sorted(paths)
 
     def test_format_summary_handles_zero_and_absent_wall(self):
-        profiler = Profiler()
+        clock = _FakeClock()
+        profiler = Profiler(clock=clock)
         assert profiler.format_summary() == "no profiled sections"
-        profiler.add("engine", 1.5)
+        with profiler.span("engine"):
+            clock.now = 1.5
         assert profiler.format_summary() == "engine 1.50s"
         # wall_s=0.0 is a real value (a sub-resolution sweep), not
         # "absent": it must neither divide by zero nor show percentages
@@ -402,3 +407,19 @@ class TestProfileCli:
         write_counts_json(b, {"multihop/sstsp/engine.dispatch": 11})
         assert profile_main(["diff", a, b]) == 1
         assert "DRIFT" in capsys.readouterr().out
+
+    def test_unknown_kind_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            profile_main(["run", "no_such_kind"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown job kind 'no_such_kind'" in err
+        assert "multihop_run" in err  # names the known kinds
+
+    def test_diff_of_a_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        present = write_counts_json(str(tmp_path / "x.json"), {"a": 1})
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as excinfo:
+            profile_main(["diff", missing, present])
+        assert excinfo.value.code == 2
+        assert f"no such file: {missing}" in capsys.readouterr().err

@@ -37,6 +37,7 @@ from repro.sweep.failpolicy import (
     should_inject,
 )
 from repro.sweep.jobs import execute_job
+from repro.sweep import orchestrator
 from repro.sweep.orchestrator import add_sweep_arguments, sweep_options_from_args
 from repro.sweep.spec import derive_backoff_fraction
 
@@ -347,11 +348,13 @@ def test_run_log_closes_and_keeps_sweep_end_on_failure(tmp_path):
     assert records[-1]["executed"] == 1
 
 
-def test_profile_totals_reach_the_run_log(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_profile_totals_reach_the_run_log(tmp_path, workers):
     log_path = tmp_path / "run.jsonl"
     run_sweep(
         "echo", _echo_specs(2),
         SweepOptions(
+            workers=workers,
             profile=True,
             log_path=str(log_path),
             cache_dir=str(tmp_path / "cache"),
@@ -359,7 +362,8 @@ def test_profile_totals_reach_the_run_log(tmp_path):
     )
     records = [json.loads(line) for line in open(log_path, encoding="utf-8")]
     profile = records[-1]["profile"]
-    assert set(profile) >= {"cache", "engine", "log"}
+    # only the orchestrator's own phases: runner spans stay out of sweeps
+    assert set(profile) == {"cache", "engine", "log"}
     assert all(v >= 0.0 for v in profile.values())
 
 
@@ -368,6 +372,21 @@ def test_unprofiled_sweep_log_has_no_profile_record(tmp_path):
     run_sweep("echo", _echo_specs(1), SweepOptions(log_path=str(log_path)))
     records = [json.loads(line) for line in open(log_path, encoding="utf-8")]
     assert "profile" not in records[-1]
+
+
+def test_unprofiled_sweep_never_builds_a_profiler(monkeypatch, tmp_path):
+    def no_profiler(*args, **kwargs):
+        raise AssertionError("unprofiled sweep constructed a Profiler")
+
+    monkeypatch.setattr(orchestrator, "Profiler", no_profiler)
+    result = run_sweep(
+        "echo", _echo_specs(2),
+        SweepOptions(
+            log_path=str(tmp_path / "run.jsonl"),
+            cache_dir=str(tmp_path / "cache"),
+        ),
+    )
+    assert result.stats.executed == 2
 
 
 def test_table1_warm_cache_reproduces_results(monkeypatch, tmp_path):

@@ -130,6 +130,13 @@ class TestDiff:
         assert trace_main(["diff", a, b, "--limit", "2"]) == 1
         assert "stopping after 2 differences" in capsys.readouterr().out
 
+    def test_limit_below_one_rejected(self, tmp_path, capsys):
+        a = write_trace(tmp_path / "a.jsonl", SMALL)
+        with pytest.raises(SystemExit) as excinfo:
+            trace_main(["diff", a, a, "--limit", "0"])
+        assert excinfo.value.code == 2
+        assert "--limit: expected an integer >= 1" in capsys.readouterr().err
+
 
 class TestConvergence:
     def test_within_bound(self, tmp_path, capsys):
@@ -187,3 +194,13 @@ class TestDispatch:
         with pytest.raises(SystemExit) as excinfo:
             trace_main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["summary", "filter", "convergence", "diff"])
+    def test_missing_trace_is_a_usage_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.jsonl")
+        present = write_trace(tmp_path / "t.jsonl", SMALL)
+        argv = [command, missing] + ([present] if command == "diff" else [])
+        with pytest.raises(SystemExit) as excinfo:
+            trace_main(argv)
+        assert excinfo.value.code == 2
+        assert f"no such file: {missing}" in capsys.readouterr().err
