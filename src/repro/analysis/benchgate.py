@@ -249,12 +249,8 @@ def compare_bench(
     return report
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """``repro bench-gate``: compare a fresh BENCH json to a baseline."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench-gate",
-        description="Fail when benchmark medians regressed past the noise band.",
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro bench-gate`` flags and handler."""
     parser.add_argument("current", help="freshly emitted BENCH_*.json")
     parser.add_argument(
         "--baseline", required=True,
@@ -285,7 +281,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "it (default: any work drift fails — the counters are "
         "machine-independent, so drift is a real workload change)",
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     current = load_bench_json(args.current)
     baseline = load_bench_json(args.baseline)
     report = compare_bench(
@@ -317,7 +316,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print("bench-gate: OK")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -434,13 +434,8 @@ def shootout_summary_md_text(
 def _cmd_shootout(args: argparse.Namespace) -> int:
     from repro.experiments.shootout import shootout_specs
 
-    protocols = (
-        [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if args.protocols
-        else None
-    )
     specs = shootout_specs(
-        protocols=protocols,
+        protocols=args.protocols,
         seed=args.seed,
         quick=args.quick,
         replicas=args.replicas,
@@ -809,34 +804,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro analyze`` parser (table1 / shootout / log / bench)."""
-    from repro.experiments.table1 import _parse_m_values
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro analyze`` subcommands (table1/shootout/log/bench)."""
+    from repro.experiments import shootout, table1
     from repro.sweep import add_sweep_arguments
 
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="Roll sweep output into summary tables with CIs.",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table1 = sub.add_parser(
         "table1", help="Table-1-with-CIs view over the m x replica grid"
     )
-    p_table1.add_argument("--nodes", type=int, default=100)
-    p_table1.add_argument("--seed", type=int, default=1)
-    p_table1.add_argument(
-        "-m", "--m-values", type=_parse_m_values, default=(1, 2, 3, 4, 5),
-        dest="m_values", metavar="M1,M2,...",
-        help="comma-separated m values (default 1,2,3,4,5)",
-    )
-    p_table1.add_argument(
-        "--duration", type=float, default=60.0, metavar="S",
-        help="scenario duration per cell in seconds",
-    )
-    p_table1.add_argument(
-        "--replicas", type=int, default=3,
-        help="replicas per m (default 3; more replicas, tighter CIs)",
+    table1.add_grid_arguments(
+        p_table1, 3, "replicas per m (default 3; more replicas, tighter CIs)"
     )
     p_table1.add_argument(
         "--name", default="table1",
@@ -849,18 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shootout",
         help="per-(protocol, scenario) CIs over the multi-hop shootout grid",
     )
-    p_shootout.add_argument("--seed", type=int, default=1)
-    p_shootout.add_argument(
-        "--quick", action="store_true",
-        help="trim scenario durations to ~8 simulated seconds",
-    )
-    p_shootout.add_argument(
-        "--replicas", type=int, default=3,
-        help="seed replicas per cell (default 3; more replicas, tighter CIs)",
-    )
-    p_shootout.add_argument(
-        "--protocols", default=None,
-        help="comma-separated protocol subset (default: every registered one)",
+    shootout.add_grid_arguments(
+        p_shootout, 3,
+        "seed replicas per cell (default 3; more replicas, tighter CIs)",
     )
     p_shootout.add_argument(
         "--name", default="shootout",
@@ -898,15 +868,3 @@ def build_parser() -> argparse.ArgumentParser:
         help="output stem under results/analysis/ (default bench)",
     )
     p_bench.set_defaults(func=_cmd_bench)
-
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the subcommand's exit code."""
-    args = build_parser().parse_args(argv)
-    return int(args.func(args))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,9 +13,11 @@ the section 3.4 overhead accounting and the Lemma 1/2 validation:
 ``repro.experiments.lemmas`` measured vs analytic convergence bounds
 ===========================  ===================================================
 
-Each module exposes ``run(quick=False)`` returning structured results and
-``main()`` printing the same rows/series the paper reports (plus CSV
-output). ``python -m repro.experiments.<name>`` or the installed
-``sstsp-experiment`` command runs them; ``--quick`` shrinks the scenario
-for smoke runs.
+Each module exposes functions returning structured results, plus
+``configure_parser(parser)``, which installs its flags on the subparser
+:mod:`repro.experiments.cli` hands it and a handler printing the same
+rows/series the paper reports (plus CSV output). ``python -m repro
+<name>`` or the installed ``sstsp-experiment`` (alias ``repro``) command
+runs them; options follow the name, and ``--quick`` shrinks the
+scenario for smoke runs.
 """

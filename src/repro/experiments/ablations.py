@@ -151,13 +151,15 @@ def sweep_m(
     return dict(zip(m_values, values))
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro ablations", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro ablations`` flags and handler."""
     parser.add_argument("--quick", action="store_true", help="fewer points")
     parser.add_argument("--seed", type=int, default=3)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     sweep = sweep_options_from_args(args)
 
     guards = (300.0, 600.0) if args.quick else (150.0, 300.0, 600.0, 1_200.0)
@@ -208,7 +210,4 @@ def main(argv=None) -> None:
     )
     print("reading: latency grows with m; error flattens by m~3; the "
           "reference-change amplification vanishes at m = l + 3")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

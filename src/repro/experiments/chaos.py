@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US
+from repro.argtypes import positive_int
 from repro.core.config import SstspConfig
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import PAPER_PHY
@@ -340,12 +341,13 @@ def outcome_fingerprint(outcome: PlanOutcome) -> Dict:
     }
 
 
-def main(argv=None) -> None:
-    """CLI entry point: run the soak and print the per-plan table."""
-    parser = argparse.ArgumentParser(prog="repro chaos", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro chaos`` flags and handler."""
     parser.add_argument("--plans", type=int, default=10, help="number of plans")
     parser.add_argument("--seed", type=int, default=7, help="master seed")
-    parser.add_argument("--nodes", type=int, default=12, help="stations per run")
+    parser.add_argument(
+        "--nodes", type=positive_int, default=12, help="stations per run"
+    )
     parser.add_argument(
         "--periods", type=int, default=300, help="beacon periods per run"
     )
@@ -368,7 +370,10 @@ def main(argv=None) -> None:
         help="re-election bound after a reference crash (periods)",
     )
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     limits = ChaosLimits(
         tail_bound_us=args.bound_us,
         converged_bound_us=args.converged_us,
@@ -420,8 +425,5 @@ def main(argv=None) -> None:
         for o in failed:
             for failure in o.failures:
                 print(f"  plan {o.index}: {failure}")
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+        return 1
+    return 0

@@ -1,4 +1,10 @@
-"""``sstsp-experiment``: run any (or all) paper experiments.
+"""``sstsp-experiment`` (also ``repro``): the one command tree.
+
+One argparse root, one subparser per command. Each command module's
+``configure_parser(parser)`` installs its flags on the subparser it is
+handed and sets ``func`` to a handler taking the parsed namespace and
+returning an exit code; :func:`main` is the only place that parses.
+Options follow the command: ``repro fig1 --quick``.
 
 Every experiment CLI shares the sweep-execution flags installed by
 :func:`repro.sweep.add_sweep_arguments` — ``--workers``, caching,
@@ -21,8 +27,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+from types import ModuleType
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.analysis import benchgate
+from repro.analysis import cli as analyze_cli
 from repro.experiments import (
     ablations,
     chaos,
@@ -37,85 +46,81 @@ from repro.experiments import (
     shootout,
     table1,
 )
+from repro.lint import cli as lint_cli
+from repro.obs import cli as trace_cli
+from repro.obs import profilecli
+from repro.sweep import add_sweep_arguments
 
-EXPERIMENTS: Dict[str, Callable[[List[str]], None]] = {
-    "fig1": fig1.main,
-    "fig2": fig2.main,
-    "fig3": fig3.main,
-    "fig4": fig4.main,
-    "table1": table1.main,
-    "multihop": multihop.main,
-    "shootout": shootout.main,
-    "overhead": overhead.main,
-    "lemmas": lemmas.main,
-    "related": related.main,
-    "ablations": ablations.main,
-    "chaos": chaos.main,
+EXPERIMENTS: Dict[str, ModuleType] = {
+    module.__name__.rpartition(".")[2]: module
+    for module in (
+        fig1, fig2, fig3, fig4, table1, multihop, shootout,
+        overhead, lemmas, related, ablations, chaos,
+    )
+}
+
+#: What ``repro all`` runs, in order. Each takes ``--quick`` and the
+#: shared sweep flags, which are exactly the flags ``all`` accepts.
+ALL = (
+    "fig1", "fig2", "table1", "fig3", "fig4",
+    "overhead", "lemmas", "related", "ablations",
+)
+
+#: The other commands: name -> (module, description).
+TOOLS: Dict[str, Tuple[ModuleType, str]] = {
+    "analyze": (analyze_cli, "Roll sweep output into summary tables with CIs."),
+    "bench-gate": (benchgate, "Fail when benchmark medians regressed past the noise band."),
+    "lint": (lint_cli, "Determinism & unit-safety lint for the simulation kernel."),
+    "profile": (profilecli, "Profile one registered job with spans and work counters."),
+    "trace": (trace_cli, "Inspect structured event-trace JSONL files."),
 }
 
 
-def main(argv=None) -> int:
-    """Dispatch one (or all) experiment reproductions."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree."""
     parser = argparse.ArgumentParser(
         prog="sstsp-experiment",
         description="Reproduce the SSTSP paper's tables and figures.",
+        epilog="Options follow the command, e.g. 'repro fig1 --quick'.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "analyze", "bench-gate", "lint", "profile", "trace"],
-        help="which table/figure to regenerate ('analyze' rolls sweep "
-        "output into summary tables with CIs; 'bench-gate' compares a "
-        "BENCH_*.json against a baseline; 'lint' runs reprolint, "
-        "the determinism/unit-safety static analysis; 'profile' runs a "
-        "job under spans + deterministic work counters; 'trace' inspects "
-        "event-trace JSONL files)",
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, module in EXPERIMENTS.items():
+        doc = module.__doc__ or ""
+        module.configure_parser(commands.add_parser(
+            name, prog=f"repro {name}", description=doc, help=doc.partition("\n")[0]
+        ))
+    run_all = f"Run {', '.join(ALL)} in turn with the same arguments."
+    all_parser = commands.add_parser(
+        "all", prog="repro all", description=run_all, help=run_all
     )
-    # Everything after the experiment name, ``-h`` included, belongs to
-    # the experiment's own parser.
-    split = next(
-        (i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv)
+    all_parser.add_argument(
+        "--quick", action="store_true", help="smoke-sized run of each experiment"
     )
-    args, passthrough = parser.parse_known_args(argv[:split])
-    passthrough += argv[split:]
-    if args.experiment == "profile":
-        from repro.obs.profilecli import main as profile_main
+    add_sweep_arguments(all_parser)
+    all_parser.set_defaults(func=_run_all)
+    for name, (module, text) in TOOLS.items():
+        module.configure_parser(commands.add_parser(
+            name, prog=f"repro {name}", description=text, help=text
+        ))
+    return parser
 
-        return profile_main(passthrough)
-    if args.experiment == "lint":
-        from repro.lint.cli import main as lint_main
 
-        return lint_main(passthrough)
-    if args.experiment == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(passthrough)
-    if args.experiment == "analyze":
-        from repro.analysis.cli import main as analyze_main
-
-        return analyze_main(passthrough)
-    if args.experiment == "bench-gate":
-        from repro.analysis.benchgate import main as benchgate_main
-
-        return benchgate_main(passthrough)
-    if args.experiment == "all":
-        names = (
-            "fig1", "fig2", "table1", "fig3", "fig4",
-            "overhead", "lemmas", "related", "ablations",
-        )
-        argparse.ArgumentParser(
-            prog="repro all",
-            description=f"Run {', '.join(names)} in turn; every other "
-            "argument is passed to each of them.",
-        ).parse_known_args(passthrough)
-        for name in names:
-            print(f"\n{'#' * 70}\n# {name}\n{'#' * 70}")
-            EXPERIMENTS[name](passthrough)
-        return 0
-    EXPERIMENTS[args.experiment](passthrough)
+def _run_all(args: argparse.Namespace) -> int:
+    """Replay the arguments after ``all`` through the tree, per experiment."""
+    rest = args.argv[args.argv.index("all") + 1:]
+    for name in ALL:
+        print(f"\n{'#' * 70}\n# {name}\n{'#' * 70}")
+        code = main([name, *rest])
+        if code:
+            return code
     return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse ``argv`` with the command tree; run the chosen handler.
+
+    The raw argv rides along on the namespace so ``all`` can replay it.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
+    return int(args.func(args))

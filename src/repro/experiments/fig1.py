@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US, SyncTrace
+from repro.argtypes import positive_int
 from repro.experiments.report import (
     downsample_rows,
     format_table,
@@ -84,17 +85,18 @@ def run(
     )
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro fig1", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro fig1`` flags and handler."""
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
-    parser.add_argument("--nodes", type=int, nargs="+", default=[100, 300])
+    parser.add_argument("--nodes", type=positive_int, nargs="+", default=[100, 300])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--lane", choices=("vec", "oo"), default="vec",
                         help="engine: vectorised (fast) or reference OO lane")
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
 
+
+def _cli(args: argparse.Namespace) -> int:
     result = run(
         tuple(args.nodes), quick=args.quick, seed=args.seed, lane=args.lane,
         sweep=sweep_options_from_args(args),
@@ -118,7 +120,4 @@ def main(argv=None) -> None:
             title="Summary (paper: error grows with N, far above 25 us)",
         )
     )
-
-
-if __name__ == "__main__":
-    main()
+    return 0

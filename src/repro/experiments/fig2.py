@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.metrics import SyncTrace
+from repro.argtypes import positive_int
 from repro.experiments.report import (
     downsample_rows,
     format_table,
@@ -73,18 +74,19 @@ def run(
     )
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro fig2", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro fig2`` flags and handler."""
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
-    parser.add_argument("--nodes", type=int, default=500)
-    parser.add_argument("-m", type=int, default=4, dest="m")
+    parser.add_argument("--nodes", type=positive_int, default=500)
+    parser.add_argument("-m", type=positive_int, default=4, dest="m")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--lane", choices=("vec", "oo"), default="vec",
                         help="engine: vectorised (fast) or reference OO lane")
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
 
+
+def _cli(args: argparse.Namespace) -> int:
     result = run(
         n=args.nodes, m=args.m, quick=args.quick, seed=args.seed,
         lane=args.lane, sweep=sweep_options_from_args(args),
@@ -106,7 +108,4 @@ def main(argv=None) -> None:
           "(paper: below 10 us after stabilisation)")
     print(f"max over final quarter: {result.stabilized_error_us():.2f} us")
     print(f"reference changes observed: {result.reference_changes}")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.metrics import SyncTrace
+from repro.argtypes import positive_int
 from repro.experiments.report import (
     downsample_rows,
     format_table,
@@ -80,15 +81,16 @@ def run(
     return Fig3Result(payload["trace"], start_s, end_s)
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro fig3", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro fig3`` flags and handler."""
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--nodes", type=int, default=100)
+    parser.add_argument("--nodes", type=positive_int, default=100)
     parser.add_argument("--seed", type=int, default=1)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
 
+
+def _cli(args: argparse.Namespace) -> int:
     result = run(
         n=args.nodes, quick=args.quick, seed=args.seed,
         sweep=sweep_options_from_args(args),
@@ -115,7 +117,4 @@ def main(argv=None) -> None:
             "(paper: rises to ~20000 us during the attack)",
         )
     )
-
-
-if __name__ == "__main__":
-    main()
+    return 0

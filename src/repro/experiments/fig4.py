@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.metrics import SyncTrace
+from repro.argtypes import positive_int
 from repro.experiments.report import (
     downsample_rows,
     format_table,
@@ -89,16 +90,17 @@ def run(
     return Fig4Result(payload["trace"], start_s, end_s)
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro fig4", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro fig4`` flags and handler."""
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--nodes", type=int, default=500)
-    parser.add_argument("-m", type=int, default=4, dest="m")
+    parser.add_argument("--nodes", type=positive_int, default=500)
+    parser.add_argument("-m", type=positive_int, default=4, dest="m")
     parser.add_argument("--seed", type=int, default=1)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
 
+
+def _cli(args: argparse.Namespace) -> int:
     result = run(
         n=args.nodes, m=args.m, quick=args.quick, seed=args.seed,
         sweep=sweep_options_from_args(args),
@@ -128,7 +130,4 @@ def main(argv=None) -> None:
     print()
     print(f"virtual-clock drag accumulated by the attacker: {result.drag_us():.0f} us "
           "(the 'virtual clock slightly different to the real clock' of section 4)")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -26,7 +26,7 @@ from repro.fastlane import run_sstsp_vectorized
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent
 from repro.network.ibss import build_network
 from repro.sim.units import S
-from repro.sweep import parse_ignoring_sweep_arguments
+from repro.sweep import ignore_sweep_arguments
 
 
 def measure_contraction(m: int, n: int = 30, seed: int = 3) -> float:
@@ -71,11 +71,13 @@ def measure_reference_change(m: int, l: int = 1, n: int = 15, seed: int = 4) -> 
     return {"before": before, "transition": transition, "settled": settled}
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro lemmas", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro lemmas`` flags and handler."""
     parser.add_argument("--quick", action="store_true", help="fewer m values")
-    args = parse_ignoring_sweep_arguments(parser, argv)
+    ignore_sweep_arguments(parser, _cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     m_values = (2, 4) if args.quick else (1, 2, 3, 4, 5)
 
     print("=== Lemma 1: per-BP error contraction ===")
@@ -108,7 +110,4 @@ def main(argv=None) -> None:
             title=f"l = 1; optimal m per Lemma 2: {optimal_m(1)}",
         )
     )
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -188,17 +188,18 @@ def save_rows_csv(rows: Sequence[Dict[str, Any]], name: str = "multihop") -> str
     return path
 
 
-def main(argv=None) -> None:
-    """CLI entry point: ``python -m repro multihop``."""
-    parser = argparse.ArgumentParser(prog="repro multihop", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro multihop`` flags and handler."""
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",
     )
     parser.add_argument("--seed", type=int, default=1, help="sweep root seed")
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
 
+
+def _cli(args: argparse.Namespace) -> int:
     rows = run(seed=args.seed, quick=args.quick, sweep=sweep_options_from_args(args))
     csv_path = save_rows_csv(rows)
     print("=== Multi-hop SSTSP scenario suite ===")
@@ -233,7 +234,4 @@ def main(argv=None) -> None:
         "shape checks: hop-1 error stays in the single-hop range; error "
         "grows with hop depth; the complete graph matches the single-hop lane"
     )
-
-
-if __name__ == "__main__":
-    main()
+    return 0

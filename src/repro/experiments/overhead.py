@@ -24,7 +24,7 @@ from repro.analysis.overhead import (
 from repro.crypto.primitives import HASH_BYTES
 from repro.experiments.report import format_table
 from repro.phy.params import OFDM_54MBPS
-from repro.sweep import parse_ignoring_sweep_arguments
+from repro.sweep import ignore_sweep_arguments
 
 
 def run(chain_length: int = 10_000, samples: int = 256):
@@ -40,13 +40,15 @@ def run(chain_length: int = 10_000, samples: int = 256):
     }
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro overhead", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro overhead`` flags and handler."""
     parser.add_argument("--chain-length", type=int, default=10_000)
     parser.add_argument("--quick", action="store_true",
                         help="shorter chain (1024) for smoke runs")
-    args = parse_ignoring_sweep_arguments(parser, argv)
+    ignore_sweep_arguments(parser, _cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     chain_length = 1024 if args.quick else args.chain_length
 
     data = run(chain_length=chain_length, samples=min(256, chain_length))
@@ -99,7 +101,4 @@ def main(argv=None) -> None:
     print(f"receiver beacon buffer for 2 BPs: {data['buffer_bytes']} bytes "
           "(paper: 300-500 bytes); one chain element/tag is "
           f"{HASH_BYTES} bytes")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -18,7 +18,7 @@ from typing import Dict, Sequence
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import quick_spec
 from repro.network.ibss import build_network
-from repro.sweep import parse_ignoring_sweep_arguments
+from repro.sweep import ignore_sweep_arguments
 
 PROTOCOLS = ("tsf", "atsp", "tatsp", "satsf", "rentel", "sstsp")
 
@@ -56,12 +56,14 @@ def run(
     return rows
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro related", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro related`` flags and handler."""
     parser.add_argument("--quick", action="store_true", help="single size")
     parser.add_argument("--seed", type=int, default=11)
-    args = parse_ignoring_sweep_arguments(parser, argv)
+    ignore_sweep_arguments(parser, _cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     n_values = (30,) if args.quick else (30, 100)
 
     rows = run(n_values=n_values, seed=args.seed)
@@ -92,7 +94,4 @@ def main(argv=None) -> None:
     print("reading: the fast-station-priority schemes (ATSP/TATSP/SATSF) "
           "improve on TSF but keep its contention; SSTSP's single steady-"
           "state transmitter wins at every size (section 3.1's argument)")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.argtypes import positive_int
 from repro.experiments.multihop import DEFAULT_SCENARIOS
 from repro.experiments.report import ensure_results_dir, format_table
 from repro.sweep import (
@@ -206,32 +207,52 @@ def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> None:
-    """CLI entry point: ``python -m repro shootout``."""
-    parser = argparse.ArgumentParser(prog="repro shootout", description=__doc__)
+def _parse_protocols(text: str) -> Optional[List[str]]:
+    """A comma-separated protocol subset; empty means every registered one."""
+    from repro.protocols.multihop_base import available_multihop_protocols
+
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    known = available_multihop_protocols()
+    for name in names:
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown multi-hop protocol {name!r} "
+                f"(known: {', '.join(sorted(known))})"
+            )
+    return names or None
+
+
+def add_grid_arguments(
+    parser: argparse.ArgumentParser, replicas: int, replicas_help: str
+) -> None:
+    """Install the protocol x scenario x replica grid flags.
+
+    Shared with ``repro analyze shootout``.
+    """
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",
     )
     parser.add_argument("--seed", type=int, default=1, help="sweep root seed")
     parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="seed replicas per (protocol, scenario) cell",
+        "--replicas", type=positive_int, default=replicas, help=replicas_help
     )
     parser.add_argument(
-        "--protocols", default=None,
+        "--protocols", type=_parse_protocols, default=None,
         help="comma-separated protocol subset (default: every registered one)",
     )
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
 
-    protocols = (
-        [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if args.protocols
-        else None
-    )
+
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro shootout`` flags and handler."""
+    add_grid_arguments(parser, 1, "seed replicas per (protocol, scenario) cell")
+    add_sweep_arguments(parser)
+    parser.set_defaults(func=_cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     rows = run(
-        protocols=protocols,
+        protocols=args.protocols,
         seed=args.seed,
         quick=args.quick,
         replicas=args.replicas,
@@ -272,7 +293,4 @@ def main(argv=None) -> None:
         "accuracy; beaconless halves traffic via its duty cycle; coop "
         "floods every period and buys accuracy with density"
     )
-
-
-if __name__ == "__main__":
-    main()
+    return 0

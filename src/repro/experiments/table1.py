@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.argtypes import positive_int
 from repro.experiments.report import ensure_results_dir, format_table
 from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US
 from repro.sim.units import S
@@ -142,14 +143,16 @@ def _parse_m_values(text: str) -> Sequence[int]:
         raise argparse.ArgumentTypeError(f"bad m list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("need at least one m value")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"m values must be >= 1, got {text!r}")
     return values
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="single replica")
-    parser.add_argument("--nodes", type=int, default=100)
+def add_grid_arguments(
+    parser: argparse.ArgumentParser, replicas: Optional[int], replicas_help: str
+) -> None:
+    """Install the m x replica grid flags (shared with ``repro analyze table1``)."""
+    parser.add_argument("--nodes", type=positive_int, default=100)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "-m", "--m-values", type=_parse_m_values, default=(1, 2, 3, 4, 5),
@@ -161,11 +164,21 @@ def main(argv=None) -> None:
         help="scenario duration per cell in seconds",
     )
     parser.add_argument(
-        "--replicas", type=int, default=None,
-        help="replicas per m (default 3, or 1 with --quick)",
+        "--replicas", type=positive_int, default=replicas, help=replicas_help
+    )
+
+
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro table1`` flags and handler."""
+    parser.add_argument("--quick", action="store_true", help="single replica")
+    add_grid_arguments(
+        parser, None, "replicas per m (default 3, or 1 with --quick)"
     )
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_cli)
+
+
+def _cli(args: argparse.Namespace) -> int:
     replicas = args.replicas
     if replicas is None:
         replicas = 1 if args.quick else 3
@@ -204,7 +217,4 @@ def main(argv=None) -> None:
     print(f"rows written to {csv_path}")
     print("shape checks: latency increases with m; error improves from m=1 "
           "and flattens by m=3 (paper: m = 2 or 3 is the best trade-off)")
-
-
-if __name__ == "__main__":
-    main()
+    return 0

@@ -1,6 +1,8 @@
-"""Entry point for ``python -m repro.lint``."""
+"""Entry point for ``python -m repro.lint``: the same as ``repro lint``."""
 
-from repro.lint.cli import main
+import sys
+
+from repro.experiments.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["lint", *sys.argv[1:]]))

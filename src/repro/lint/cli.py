@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.lint [paths]``.
+"""Command-line front end: ``repro lint [paths]`` (or ``python -m repro.lint``).
 
 Exit codes follow lint convention: ``0`` clean (or after
 ``--write-baseline``), ``1`` findings remain, ``2`` usage error.
@@ -7,12 +7,12 @@ Examples
 --------
 ::
 
-    python -m repro.lint                     # lint src/repro
-    python -m repro.lint src/repro/sweep     # one subpackage
-    python -m repro.lint --format json       # machine-readable report
-    python -m repro.lint --list-rules        # what each code means
-    python -m repro.lint --baseline .reprolint-baseline.json \
-        --write-baseline                     # grandfather current findings
+    repro lint                     # lint src/repro
+    repro lint src/repro/sweep     # one subpackage
+    repro lint --format json       # machine-readable report
+    repro lint --list-rules        # what each code means
+    repro lint --baseline .reprolint-baseline.json \
+        --write-baseline           # grandfather current findings
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import sys
 import textwrap
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.lint.diagnostics import (
     apply_baseline,
@@ -35,12 +35,8 @@ from repro.lint.engine import ALL_RULES, expand_paths, lint_paths
 DEFAULT_TARGET = "src/repro"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The reprolint argument parser (shared with the ``lint`` subcommand)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="Determinism & unit-safety lint for the simulation kernel.",
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro lint`` flags and handler."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -71,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format: 'text' (one line per finding, default) or "
         "'json' (byte-stable document for CI artifacts)",
     )
-    return parser
+    parser.set_defaults(func=lambda args: _lint(parser, args))
 
 
 def _print_rules() -> None:
@@ -80,11 +76,8 @@ def _print_rules() -> None:
         print(textwrap.indent(textwrap.fill(rule.rationale, width=74), "      "))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _lint(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Run the linter; return the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
     if args.list_rules:
         _print_rules()
         return 0

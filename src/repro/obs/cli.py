@@ -24,25 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.argtypes import existing_file, positive_int
 from repro.obs.events import EVENT_CATALOG, read_events
-
-
-def _existing_file(path: str) -> str:
-    """argparse type: ``path`` must name an existing file (or pipe)."""
-    if not os.path.exists(path) or os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"no such file: {path}")
-    return path
-
-
-def _positive_int(raw: str) -> int:
-    """argparse type: an integer >= 1."""
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def _load(path: str) -> List[Dict[str, Any]]:
@@ -251,20 +237,16 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro trace`` argument parser (summary/filter/diff/convergence)."""
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Inspect structured event-trace JSONL files.",
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro trace`` subcommands (summary/filter/diff/convergence)."""
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_summary = sub.add_parser("summary", help="per-event counts and highlights")
-    p_summary.add_argument("trace", type=_existing_file, help="trace JSONL path")
+    p_summary.add_argument("trace", type=existing_file, help="trace JSONL path")
     p_summary.set_defaults(func=_cmd_summary)
 
     p_filter = sub.add_parser("filter", help="select and print matching records")
-    p_filter.add_argument("trace", type=_existing_file, help="trace JSONL path")
+    p_filter.add_argument("trace", type=existing_file, help="trace JSONL path")
     p_filter.add_argument(
         "--event", action="append", default=None,
         help="keep only this event kind (repeatable)",
@@ -279,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=_cmd_filter)
 
     p_diff = sub.add_parser("diff", help="compare two traces (exit 1 if different)")
-    p_diff.add_argument("left", type=_existing_file, help="baseline trace JSONL path")
-    p_diff.add_argument("right", type=_existing_file, help="candidate trace JSONL path")
+    p_diff.add_argument("left", type=existing_file, help="baseline trace JSONL path")
+    p_diff.add_argument("right", type=existing_file, help="candidate trace JSONL path")
     p_diff.add_argument(
-        "--limit", type=_positive_int, default=20,
+        "--limit", type=positive_int, default=20,
         help="max differences to print (>= 1)",
     )
     p_diff.set_defaults(func=_cmd_diff)
@@ -291,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="re-election windows vs the Lemma 2 (l+2)-period bound",
     )
-    p_conv.add_argument("trace", type=_existing_file, help="trace JSONL path")
+    p_conv.add_argument("trace", type=existing_file, help="trace JSONL path")
     p_conv.add_argument(
         "--l", type=int, default=2, dest="l",
         help="frame-loss tolerance l in the (l+2) bound (default 2)",
@@ -301,16 +283,3 @@ def build_parser() -> argparse.ArgumentParser:
         help="beacon period in us (default: inferred from beacon_tx gaps)",
     )
     p_conv.set_defaults(func=_cmd_convergence)
-
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the subcommand's exit code."""
-    args = build_parser().parse_args(argv)
-    result = args.func(args)
-    return int(result)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

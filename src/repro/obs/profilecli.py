@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.obs.cli import _existing_file
+from repro.argtypes import existing_file
 from repro.obs.counters import (
     count_work,
     diff_counts,
@@ -119,13 +119,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """``repro profile`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile a registered job with hierarchical spans and "
-        "deterministic work counters.",
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Install the ``repro profile`` subcommands (run/diff)."""
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser(
@@ -156,13 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff_p = sub.add_parser(
         "diff", help="compare two counters.json files (exit 1 on drift)"
     )
-    diff_p.add_argument("a", type=_existing_file, help="first counters.json")
-    diff_p.add_argument("b", type=_existing_file, help="second counters.json")
+    diff_p.add_argument("a", type=existing_file, help="first counters.json")
+    diff_p.add_argument("b", type=existing_file, help="second counters.json")
     diff_p.set_defaults(func=_cmd_diff)
-
-    args = parser.parse_args(argv)
-    return int(args.func(args))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -47,7 +47,7 @@ from repro.sweep.orchestrator import (
     SweepOptions,
     SweepResult,
     add_sweep_arguments,
-    parse_ignoring_sweep_arguments,
+    ignore_sweep_arguments,
     run_sweep,
     sweep_options_from_args,
 )
@@ -70,7 +70,7 @@ __all__ = [
     "default_manifest_path",
     "derive_seed",
     "expand_grid",
-    "parse_ignoring_sweep_arguments",
+    "ignore_sweep_arguments",
     "register_job",
     "resolve_job",
     "run_sweep",

@@ -54,6 +54,7 @@ from typing import (
     Tuple,
 )
 
+from repro.argtypes import non_negative_int, positive_float, positive_int
 from repro.obs.counters import count_work
 from repro.obs.events import observe_run
 from repro.obs.profile import Profiler
@@ -170,83 +171,91 @@ class SweepResult:
         return iter(self.values)
 
 
-def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the shared sweep-execution flags (workers, cache, resilience)."""
-    group = parser.add_argument_group("sweep execution")
-    group.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the scenario sweep (1 = serial; "
-        "results are byte-identical at any worker count)",
-    )
-    group.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $SSTSP_SWEEP_CACHE or "
-        f"{DEFAULT_CACHE_DIR!r})",
-    )
-    group.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache for this run",
-    )
-    group.add_argument(
-        "--sweep-log", default=None, metavar="PATH",
-        help="JSONL run-log path (default: results/sweep_logs/<name>.jsonl)",
-    )
-    group.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="write one event-trace JSONL per executed job into DIR "
-        "(cache hits never ran, so they produce no trace)",
-    )
-    group.add_argument(
-        "--profile", action="store_true",
-        help="attribute sweep wall time to phases (cache/engine/log)",
-    )
-    group.add_argument(
-        "--on-error", choices=ON_ERROR_MODES, default="raise",
-        help="failed-job handling: 'raise' aborts the sweep (default), "
-        "'retry' retries then aborts, 'quarantine' retries then records "
-        "the failure and keeps going",
-    )
-    group.add_argument(
-        "--retries", type=int, default=2, metavar="K",
-        help="extra attempts per failing job under --on-error "
-        "retry/quarantine (deterministic backoff; default 2)",
-    )
-    group.add_argument(
-        "--job-timeout", type=float, default=None, metavar="S",
-        help="per-attempt wall-time budget in seconds, enforced inside "
-        "the worker; a timed-out attempt follows the --on-error path",
-    )
-    group.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep: append to its run log and "
-        "execute only what the manifest + cache do not already cover",
-    )
+def add_sweep_arguments(parser: argparse.ArgumentParser) -> List[argparse.Action]:
+    """Install the shared sweep-execution flags (workers, cache, resilience).
 
-
-def parse_ignoring_sweep_arguments(
-    parser: argparse.ArgumentParser, argv: Optional[Sequence[str]]
-) -> argparse.Namespace:
-    """Parse ``argv`` for an experiment that runs no job sweep.
-
-    The shared sweep flags are accepted (``repro all`` passes every
-    argument to every experiment) and have no effect; when any is given,
-    one notice line on standard error says they were ignored.
+    Returns the installed actions, in declaration order.
     """
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    reference = argparse.ArgumentParser()
-    add_sweep_arguments(reference)
-    ignored = [
-        "--" + dest.replace("_", "-")
-        for dest, default in vars(reference.parse_args([])).items()
-        if getattr(args, dest) != default
+    group = parser.add_argument_group("sweep execution")
+    return [
+        group.add_argument(
+            "--workers", type=positive_int, default=1, metavar="N",
+            help="worker processes for the scenario sweep (1 = serial; "
+            "results are byte-identical at any worker count)",
+        ),
+        group.add_argument(
+            "--cache-dir", default=None, metavar="DIR",
+            help="result-cache directory (default: $SSTSP_SWEEP_CACHE or "
+            f"{DEFAULT_CACHE_DIR!r})",
+        ),
+        group.add_argument(
+            "--no-cache", action="store_true",
+            help="disable the result cache for this run",
+        ),
+        group.add_argument(
+            "--sweep-log", default=None, metavar="PATH",
+            help="JSONL run-log path (default: results/sweep_logs/<name>.jsonl)",
+        ),
+        group.add_argument(
+            "--trace-dir", default=None, metavar="DIR",
+            help="write one event-trace JSONL per executed job into DIR "
+            "(cache hits never ran, so they produce no trace)",
+        ),
+        group.add_argument(
+            "--profile", action="store_true",
+            help="attribute sweep wall time to phases (cache/engine/log)",
+        ),
+        group.add_argument(
+            "--on-error", choices=ON_ERROR_MODES, default="raise",
+            help="failed-job handling: 'raise' aborts the sweep (default), "
+            "'retry' retries then aborts, 'quarantine' retries then records "
+            "the failure and keeps going",
+        ),
+        group.add_argument(
+            "--retries", type=non_negative_int, default=2, metavar="K",
+            help="extra attempts per failing job under --on-error "
+            "retry/quarantine (deterministic backoff; default 2)",
+        ),
+        group.add_argument(
+            "--job-timeout", type=positive_float, default=None, metavar="S",
+            help="per-attempt wall-time budget in seconds, enforced inside "
+            "the worker; a timed-out attempt follows the --on-error path",
+        ),
+        group.add_argument(
+            "--resume", action="store_true",
+            help="resume an interrupted sweep: append to its run log and "
+            "execute only what the manifest + cache do not already cover",
+        ),
     ]
-    if ignored:
-        print(
-            f"{parser.prog}: runs no job sweep; ignoring {' '.join(ignored)}",
-            file=sys.stderr,
-        )
-    return args
+
+
+def ignore_sweep_arguments(
+    parser: argparse.ArgumentParser,
+    handler: Callable[[argparse.Namespace], int],
+) -> None:
+    """Give a command that runs no job sweep the shared sweep flags.
+
+    ``repro all`` hands the same flags to every experiment it runs, so
+    the sweepless ones accept them too. They have no effect: when any
+    differs from its default, one notice line on standard error says it
+    was ignored, then ``handler`` runs.
+    """
+    actions = add_sweep_arguments(parser)
+
+    def run(args: argparse.Namespace) -> int:
+        ignored = [
+            action.option_strings[0]
+            for action in actions
+            if getattr(args, action.dest) != action.default
+        ]
+        if ignored:
+            print(
+                f"{parser.prog}: runs no job sweep; ignoring {' '.join(ignored)}",
+                file=sys.stderr,
+            )
+        return handler(args)
+
+    parser.set_defaults(func=run)
 
 
 def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
@@ -263,23 +272,21 @@ def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
             or os.environ.get("SSTSP_SWEEP_CACHE")
             or DEFAULT_CACHE_DIR
         )
-    resume = bool(getattr(args, "resume", False))
-    if resume and cache_dir is None:
+    if args.resume and cache_dir is None:
         raise ValueError("--resume requires the result cache (drop --no-cache)")
-    policy = FailurePolicy(
-        on_error=getattr(args, "on_error", "raise"),
-        max_retries=getattr(args, "retries", 2),
-        timeout_s=getattr(args, "job_timeout", None),
-    )
     return SweepOptions(
         workers=args.workers,
         cache_dir=cache_dir,
         log_path=args.sweep_log,
         progress=True,
-        trace_dir=getattr(args, "trace_dir", None),
-        profile=getattr(args, "profile", False),
-        policy=policy,
-        resume=resume,
+        trace_dir=args.trace_dir,
+        profile=args.profile,
+        policy=FailurePolicy(
+            on_error=args.on_error,
+            max_retries=args.retries,
+            timeout_s=args.job_timeout,
+        ),
+        resume=args.resume,
     )
 
 

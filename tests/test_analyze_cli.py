@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.analysis import cli
+from repro.experiments.cli import main
 from repro.sweep.failpolicy import INJECT_ENV_VAR
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -48,7 +49,7 @@ def run_table1(tmp_path, monkeypatch, subdir: str, extra):
     """Run ``repro analyze table1`` into an isolated results dir."""
     results = tmp_path / subdir
     monkeypatch.setenv("SSTSP_RESULTS_DIR", str(results))
-    assert cli.main(TABLE1_ARGS + list(extra)) == 0
+    assert main(["analyze", *TABLE1_ARGS, *extra]) == 0
     return results / "analysis"
 
 
@@ -117,7 +118,7 @@ class TestLogGolden:
         results = tmp_path / "results"
         monkeypatch.setenv("SSTSP_RESULTS_DIR", str(results))
         log = os.path.join(GOLDEN_LOG, "demo_sweep.jsonl")
-        assert cli.main(["log", log]) == 0
+        assert main(["analyze", "log", log]) == 0
         out = results / "analysis"
         for produced, golden in [
             ("demo_sweep_log_summary.csv", "golden_log_summary.csv"),
@@ -131,7 +132,7 @@ class TestLogGolden:
     def test_name_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path / "r"))
         log = os.path.join(GOLDEN_LOG, "demo_sweep.jsonl")
-        assert cli.main(["log", log, "--name", "renamed"]) == 0
+        assert main(["analyze", "log", log, "--name", "renamed"]) == 0
         assert (tmp_path / "r" / "analysis" / "renamed_log_summary.csv").exists()
 
 
@@ -150,7 +151,7 @@ class TestHelpers:
 
     def test_cli_requires_subcommand(self):
         with pytest.raises(SystemExit):
-            cli.main([])
+            main(["analyze"])
 
 
 class TestBenchTrend:
@@ -184,7 +185,7 @@ class TestBenchTrend:
             root, "10", {"bench::a": 0.012, "bench::b": 0.002},
             work={"fastlane/sstsp/mac.slot_draws": 2500},
         )
-        assert cli.main(["bench", "--root", root]) == 0
+        assert main(["analyze", "bench", "--root", root]) == 0
         out = capsys.readouterr().out
         assert "| benchmark | 9 | 10 |" in out
         md_path = tmp_path / "r" / "analysis" / "bench_trend.md"
@@ -194,7 +195,7 @@ class TestBenchTrend:
         assert b"2500" in first_md  # the work total column
         assert b"bench::b | - |" in first_md  # absent in the older label
         # byte-stable on re-run
-        assert cli.main(["bench", "--root", root]) == 0
+        assert main(["analyze", "bench", "--root", root]) == 0
         assert read_bytes(str(md_path)) == first_md
         assert read_bytes(str(csv_path)) == first_csv
 
@@ -204,10 +205,10 @@ class TestBenchTrend:
         monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path / "r"))
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
-        assert cli.main(["bench", "--root", empty]) == 1
+        assert main(["analyze", "bench", "--root", empty]) == 1
         root = str(tmp_path / "repo")
         os.makedirs(root)
         self._write_bench(root, "7", {"bench::a": 0.010})
         path = os.path.join(root, "BENCH_7.json")
-        assert cli.main(["bench", path, "--name", "named"]) == 0
+        assert main(["analyze", "bench", path, "--name", "named"]) == 0
         assert (tmp_path / "r" / "analysis" / "named_trend.md").exists()

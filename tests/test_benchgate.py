@@ -22,9 +22,9 @@ from repro.analysis.benchgate import (
     bench_record,
     compare_bench,
     load_bench_json,
-    main,
     write_bench_json,
 )
+from repro.experiments.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "BENCH_13.json")
@@ -201,9 +201,9 @@ class TestCli:
         write_bench_json(base_path, "base", [record("a", 0.05)])
         write_bench_json(same_path, "same", [record("a", 0.055)])
         write_bench_json(slow_path, "slow", [record("a", 0.10)])
-        assert main([same_path, "--baseline", base_path]) == 0
+        assert main(["bench-gate", same_path, "--baseline", base_path]) == 0
         assert "bench-gate: OK" in capsys.readouterr().out
-        assert main([slow_path, "--baseline", base_path]) == 1
+        assert main(["bench-gate", slow_path, "--baseline", base_path]) == 1
         captured = capsys.readouterr()
         assert "REGRESSED" in captured.out
         assert "FAIL" in captured.err
@@ -217,11 +217,11 @@ class TestCli:
         write_bench_json(
             drift_path, "drift", [record("a", 0.05, work={"ops": 11})]
         )
-        assert main([drift_path, "--baseline", base_path]) == 1
+        assert main(["bench-gate", drift_path, "--baseline", base_path]) == 1
         captured = capsys.readouterr()
         assert "WORK" in captured.out
         assert "1 work drift(s)" in captured.out
-        assert main([
+        assert main(["bench-gate", 
             drift_path, "--baseline", base_path, "--no-work-gate",
         ]) == 0
         assert "WORK" in capsys.readouterr().out
@@ -253,7 +253,7 @@ class TestCommittedBaseline:
         assert with_work, "baseline carries no work counters"
 
     def test_self_gate_passes(self, tmp_path, capsys):
-        assert main([BASELINE, "--baseline", BASELINE, "--strict"]) == 0
+        assert main(["bench-gate", BASELINE, "--baseline", BASELINE, "--strict"]) == 0
 
     def test_synthetic_2x_slowdown_fails(self, tmp_path, capsys):
         payload_ = load_bench_json(BASELINE)
@@ -262,7 +262,7 @@ class TestCommittedBaseline:
             rec["median_s"] = rec["median_s"] * 2.0
         slow_path = tmp_path / "BENCH_slow.json"
         slow_path.write_text(json.dumps(slowed))
-        assert main([
+        assert main(["bench-gate", 
             str(slow_path), "--baseline", BASELINE, "--tolerance", "0.5",
         ]) == 1
 
@@ -285,12 +285,12 @@ class TestCommittedBaseline:
         assert bumped, "baseline carries no work counters to perturb"
         drift_path = tmp_path / "BENCH_drift.json"
         drift_path.write_text(json.dumps(drifted))
-        assert main([
+        assert main(["bench-gate", 
             str(drift_path), "--baseline", BASELINE, "--tolerance", "10.0",
         ]) == 1
         captured = capsys.readouterr()
         assert "WORK" in captured.out
-        assert main([
+        assert main(["bench-gate", 
             str(drift_path), "--baseline", BASELINE, "--tolerance", "10.0",
             "--no-work-gate",
         ]) == 0

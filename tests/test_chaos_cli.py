@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import chaos
+from repro.experiments.cli import main
 
 
 @pytest.fixture
@@ -33,9 +33,7 @@ ARGS = [
 def test_violated_bound_exits_nonzero_and_names_invariant(
     isolated_results, capsys
 ):
-    with pytest.raises(SystemExit) as excinfo:
-        chaos.main(ARGS + ["--bound-us", "0.5", "--converged-us", "0.4"])
-    assert excinfo.value.code == 1
+    assert main(["chaos", *ARGS, "--bound-us", "0.5", "--converged-us", "0.4"]) == 1
 
     out = capsys.readouterr().out
     assert "violated invariants:" in out
@@ -46,8 +44,8 @@ def test_violated_bound_exits_nonzero_and_names_invariant(
 
 
 def test_default_bounds_pass_and_exit_zero(isolated_results, capsys):
-    # same plan under the real Lemma-2 bound: green, no SystemExit
-    chaos.main(ARGS)
+    # same plan under the real Lemma-2 bound: green, exit 0
+    assert main(["chaos", *ARGS]) == 0
     out = capsys.readouterr().out
     assert "1/1 plans green" in out
     assert "violated invariants:" not in out

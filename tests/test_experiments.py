@@ -116,7 +116,7 @@ class TestCli:
 
         importlib.reload(report)
         try:
-            fig2.main(["--quick", "--nodes", "40"])
+            assert cli_main(["fig2", "--quick", "--nodes", "40"]) == 0
             out = capsys.readouterr().out
             assert "steady-state error" in out
             assert (tmp_path / "r" / "fig2_sstsp_n40_m4.csv").exists()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ablations, related
+from repro.experiments.cli import main
 
 
 class TestRelated:
@@ -20,7 +21,7 @@ class TestRelated:
         assert steadies["sstsp"] < steadies["tsf"] / 2
 
     def test_main_prints(self, capsys):
-        related.main(["--quick", "--seed", "2"])
+        assert main(["related", "--quick", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "sstsp" in out and "tsf" in out
 
@@ -45,6 +46,6 @@ class TestAblations:
         assert rows[4]["lemma2_ratio"] == pytest.approx(0.0)
 
     def test_main_prints(self, capsys):
-        ablations.main(["--quick"])
+        assert main(["ablations", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "guard" in out and "Ablation" in out

@@ -8,12 +8,16 @@ gate this PR installs — that the real ``src/repro`` tree lints clean.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.experiments.cli import main
 from repro.lint import (
     RULES,
     Diagnostic,
@@ -25,7 +29,6 @@ from repro.lint import (
     package_relative,
     write_baseline,
 )
-from repro.lint.cli import main as lint_main
 
 SRC_REPRO = Path(repro.__file__).parent
 
@@ -529,37 +532,46 @@ class TestBaseline:
 class TestCli:
     def test_exit_one_on_findings(self, tmp_path, capsys):
         f = put(tmp_path, "repro/mac/mod.py", "import hashlib\n")
-        assert lint_main([str(f)]) == 1
+        assert main(["lint", str(f)]) == 1
         out = capsys.readouterr().out
         assert "D006" in out and "repro/mac/mod.py" in out
 
     def test_exit_zero_on_clean(self, tmp_path, capsys):
         f = put(tmp_path, "repro/mac/mod.py", "VALUE = 3\n")
-        assert lint_main([str(f)]) == 0
+        assert main(["lint", str(f)]) == 0
         assert "clean" in capsys.readouterr().err
 
     def test_baseline_workflow_exit_codes(self, tmp_path):
         f = put(tmp_path, "repro/mac/mod.py", "import hashlib\n")
         baseline = tmp_path / "baseline.json"
-        assert lint_main([str(f), "--baseline", str(baseline), "--write-baseline"]) == 0
-        assert lint_main([str(f), "--baseline", str(baseline)]) == 0
+        assert main(["lint", str(f), "--baseline", str(baseline), "--write-baseline"]) == 0
+        assert main(["lint", str(f), "--baseline", str(baseline)]) == 0
         put(tmp_path, "repro/mac/mod.py", "import hashlib\nfrom hashlib import sha1\n")
-        assert lint_main([str(f), "--baseline", str(baseline)]) == 1
+        assert main(["lint", str(f), "--baseline", str(baseline)]) == 1
 
     def test_usage_errors_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            lint_main([str(tmp_path / "missing.py")])
+            main(["lint", str(tmp_path / "missing.py")])
         assert exc.value.code == 2
         f = put(tmp_path, "repro/mac/mod.py", "VALUE = 3\n")
         with pytest.raises(SystemExit) as exc:
-            lint_main([str(f), "--write-baseline"])
+            main(["lint", str(f), "--write-baseline"])
         assert exc.value.code == 2
 
     def test_list_rules_covers_all_codes(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("D001", "D002", "D003", "D004", "D005", "D006"):
             assert code in out
+
+    def test_module_entry_point_matches_the_subcommand(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(SRC_REPRO.parent))
+        module = subprocess.run(
+            [sys.executable, "-m", "repro.lint", "--list-rules"],
+            capture_output=True, env=env, check=True,
+        )
+        assert main(["lint", "--list-rules"]) == 0
+        assert module.stdout == capsys.readouterr().out.encode()
 
     def test_experiments_cli_lint_subcommand(self, tmp_path):
         from repro.experiments.cli import main as repro_main

@@ -19,6 +19,7 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.experiments.cli import main
 from repro.lint import (
     ALL_RULES,
     FLOW_RULES,
@@ -29,7 +30,6 @@ from repro.lint import (
     lint_paths,
     render_json,
 )
-from repro.lint.cli import main as lint_main
 from repro.lint.flowrules import load_event_schemas
 from repro.lint.project import module_name
 from repro.lint.timebase import unit_of_expr, unit_of_identifier
@@ -945,9 +945,9 @@ class TestJsonFormat:
             """,
         )
         target = str(tmp_path / "repro")
-        assert lint_main([target, "--format", "json"]) == 1
+        assert main(["lint", target, "--format", "json"]) == 1
         first = capsys.readouterr().out
-        assert lint_main([target, "--format", "json"]) == 1
+        assert main(["lint", target, "--format", "json"]) == 1
         second = capsys.readouterr().out
         assert first == second  # byte-identical across runs
         doc = json.loads(first)
@@ -959,7 +959,7 @@ class TestJsonFormat:
 
     def test_json_clean_tree(self, tmp_path, capsys):
         put(tmp_path, "repro/core/ok.py", "X = 1\n")
-        assert lint_main([str(tmp_path / "repro"), "--format", "json"]) == 0
+        assert main(["lint", str(tmp_path / "repro"), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["findings"] == [] and doc["finding_count"] == 0
 
@@ -972,7 +972,7 @@ class TestJsonFormat:
                 return t_us + timeout_s
             """,
         )
-        assert lint_main([str(tmp_path / "repro")]) == 1
+        assert main(["lint", str(tmp_path / "repro")]) == 1
         out = capsys.readouterr().out
         assert "T101" in out and not out.lstrip().startswith("{")
 
@@ -980,7 +980,7 @@ class TestJsonFormat:
         assert render_json([], 0).endswith("\n")
 
     def test_list_rules_covers_all_families(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule.code in out

@@ -39,8 +39,8 @@ from repro.obs.counters import (
     work_lane,
     write_counts_json,
 )
+from repro.experiments.cli import main
 from repro.obs.profile import Profiler, profile_spans, span
-from repro.obs.profilecli import main as profile_main
 from repro.sweep import JobSpec, SweepOptions, run_sweep
 
 SPEC = ScenarioSpec(n=10, seed=4, duration_s=10.0)
@@ -372,9 +372,9 @@ class TestProfileCli:
 
     def test_run_twice_and_diff_is_clean(self, tmp_path, capsys):
         out_dir = str(tmp_path / "profile")
-        assert profile_main(self.ARGS + ["--out-dir", out_dir]) == 0
-        assert profile_main(
-            self.ARGS + ["--out-dir", out_dir, "--suffix", ".run2"]
+        assert main(["profile", *self.ARGS, "--out-dir", out_dir]) == 0
+        assert main(
+            ["profile", *self.ARGS, "--out-dir", out_dir, "--suffix", ".run2"]
         ) == 0
         capsys.readouterr()
         counters2, chrome2 = self._artifacts(out_dir, ".run2")
@@ -388,7 +388,7 @@ class TestProfileCli:
         b = os.path.join(out_dir, counters2[0])
         with open(a, "rb") as fh_a, open(b, "rb") as fh_b:
             assert fh_a.read() == fh_b.read(), "counters not deterministic"
-        assert profile_main(["diff", a, b]) == 0
+        assert main(["profile", "diff", a, b]) == 0
         assert "identical" in capsys.readouterr().out
         # the chrome trace is schema-valid (wall times, so not byte-stable)
         with open(os.path.join(out_dir, chrome2[0]), encoding="utf-8") as fh:
@@ -405,12 +405,12 @@ class TestProfileCli:
         b = str(tmp_path / "b.counters.json")
         write_counts_json(a, {"multihop/sstsp/engine.dispatch": 10})
         write_counts_json(b, {"multihop/sstsp/engine.dispatch": 11})
-        assert profile_main(["diff", a, b]) == 1
+        assert main(["profile", "diff", a, b]) == 1
         assert "DRIFT" in capsys.readouterr().out
 
     def test_unknown_kind_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            profile_main(["run", "no_such_kind"])
+            main(["profile", "run", "no_such_kind"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown job kind 'no_such_kind'" in err
@@ -420,6 +420,6 @@ class TestProfileCli:
         present = write_counts_json(str(tmp_path / "x.json"), {"a": 1})
         missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit) as excinfo:
-            profile_main(["diff", missing, present])
+            main(["profile", "diff", missing, present])
         assert excinfo.value.code == 2
         assert f"no such file: {missing}" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.cli import main as trace_main
+from repro.experiments.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n5.jsonl"
 
@@ -49,7 +49,7 @@ SMALL = [
 class TestSummary:
     def test_counts_and_highlights(self, tmp_path, capsys):
         path = write_trace(tmp_path / "t.jsonl", SMALL)
-        assert trace_main(["summary", path]) == 0
+        assert main(["trace", "summary", path]) == 0
         out = capsys.readouterr().out
         assert "events: 9" in out
         assert "beacon_tx" in out and "[network]" in out
@@ -62,7 +62,7 @@ class TestSummary:
         assert "1 churn leaves" in out
 
     def test_golden_fixture_summary(self, capsys):
-        assert trace_main(["summary", str(GOLDEN)]) == 0
+        assert main(["trace", "summary", str(GOLDEN)]) == 0
         out = capsys.readouterr().out
         assert "events: 416" in out
         assert "contention_win" in out
@@ -71,22 +71,22 @@ class TestSummary:
 class TestFilter:
     def test_by_event_and_node(self, tmp_path, capsys):
         path = write_trace(tmp_path / "t.jsonl", SMALL)
-        assert trace_main(["filter", path, "--event", "beacon_tx"]) == 0
+        assert main(["trace", "filter", path, "--event", "beacon_tx"]) == 0
         captured = capsys.readouterr()
         rows = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["node"] for r in rows] == [0, 0, 2]
         assert "matched 3 events" in captured.err
 
-        assert trace_main(
-            ["filter", path, "--event", "beacon_tx", "--node", "2"]
+        assert main(
+            ["trace", "filter", path, "--event", "beacon_tx", "--node", "2"]
         ) == 0
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert len(rows) == 1 and rows[0]["t_us"] == 400_000.0
 
     def test_time_window(self, tmp_path, capsys):
         path = write_trace(tmp_path / "t.jsonl", SMALL)
-        assert trace_main(
-            ["filter", path, "--after-us", "150000", "--before-us", "300000"]
+        assert main(
+            ["trace", "filter", path, "--after-us", "150000", "--before-us", "300000"]
         ) == 0
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert [r["event"] for r in rows] == [
@@ -104,7 +104,7 @@ class TestDiff:
             json.dumps({"event": "trace_header", "schema": 1, "seq": 0}) + "\n"
             + "".join(json.dumps(r, sort_keys=True) + "\n" for r in renumbered)
         )
-        assert trace_main(["diff", a, str(b)]) == 0
+        assert main(["trace", "diff", a, str(b)]) == 0
         assert "identical: 9 events" in capsys.readouterr().out
 
     def test_differing_traces_exit_one(self, tmp_path, capsys):
@@ -112,7 +112,7 @@ class TestDiff:
         mutated = [dict(r) for r in SMALL]
         mutated[0]["t_us"] = 999_999.0
         b = write_trace(tmp_path / "b.jsonl", mutated)
-        assert trace_main(["diff", a, b]) == 1
+        assert main(["trace", "diff", a, b]) == 1
         out = capsys.readouterr().out
         assert "@ event 1:" in out
         assert "traces differ" in out
@@ -120,20 +120,20 @@ class TestDiff:
     def test_length_mismatch_exit_one(self, tmp_path, capsys):
         a = write_trace(tmp_path / "a.jsonl", SMALL)
         b = write_trace(tmp_path / "b.jsonl", SMALL[:-1])
-        assert trace_main(["diff", a, b]) == 1
+        assert main(["trace", "diff", a, b]) == 1
         assert "<absent>" in capsys.readouterr().out
 
     def test_limit_caps_output(self, tmp_path, capsys):
         a = write_trace(tmp_path / "a.jsonl", SMALL)
         mutated = [{**r, "t_us": r.get("t_us", 0.0) + 1.0} for r in SMALL]
         b = write_trace(tmp_path / "b.jsonl", mutated)
-        assert trace_main(["diff", a, b, "--limit", "2"]) == 1
+        assert main(["trace", "diff", a, b, "--limit", "2"]) == 1
         assert "stopping after 2 differences" in capsys.readouterr().out
 
     def test_limit_below_one_rejected(self, tmp_path, capsys):
         a = write_trace(tmp_path / "a.jsonl", SMALL)
         with pytest.raises(SystemExit) as excinfo:
-            trace_main(["diff", a, a, "--limit", "0"])
+            main(["trace", "diff", a, a, "--limit", "0"])
         assert excinfo.value.code == 2
         assert "--limit: expected an integer >= 1" in capsys.readouterr().err
 
@@ -142,7 +142,7 @@ class TestConvergence:
     def test_within_bound(self, tmp_path, capsys):
         path = write_trace(tmp_path / "t.jsonl", SMALL)
         # gap = 100 ms = 1 period <= (l+2) = 4 with the inferred period
-        assert trace_main(["convergence", path]) == 0
+        assert main(["trace", "convergence", path]) == 0
         out = capsys.readouterr().out
         assert "[OK]" in out
         assert "0 outside the (l+2) bound" in out
@@ -151,7 +151,7 @@ class TestConvergence:
         records = [dict(r) for r in SMALL]
         records[-1]["t_us"] = 900_000.0  # 6 periods after the re-election
         path = write_trace(tmp_path / "t.jsonl", records)
-        assert trace_main(["convergence", path, "--period-us", "100000"]) == 1
+        assert main(["trace", "convergence", path, "--period-us", "100000"]) == 1
         out = capsys.readouterr().out
         assert "[VIOLATES]" in out
         assert "1 outside the (l+2) bound" in out
@@ -160,26 +160,26 @@ class TestConvergence:
         records = [dict(r) for r in SMALL]
         records[-1]["t_us"] = 900_000.0
         path = write_trace(tmp_path / "t.jsonl", records)
-        assert trace_main(
-            ["convergence", path, "--period-us", "100000", "--l", "5"]
+        assert main(
+            ["trace", "convergence", path, "--period-us", "100000", "--l", "5"]
         ) == 0
         assert "[OK]" in capsys.readouterr().out
 
     def test_unresolved_reference_exits_one(self, tmp_path, capsys):
         records = SMALL[:-1]  # new reference never beacons
         path = write_trace(tmp_path / "t.jsonl", records)
-        assert trace_main(["convergence", path]) == 1
+        assert main(["trace", "convergence", path]) == 1
         assert "never beaconed" in capsys.readouterr().out
 
     def test_no_changes_is_clean(self, tmp_path, capsys):
         path = write_trace(tmp_path / "t.jsonl", SMALL[:2])
-        assert trace_main(["convergence", path]) == 0
+        assert main(["trace", "convergence", path]) == 0
         assert "no reference changes" in capsys.readouterr().out
 
     def test_golden_fixture_convergence(self, capsys):
         # the seeded 5-node run has no churn, so its single election at
         # bootstrap (if any) must satisfy the bound; exit must be 0
-        assert trace_main(["convergence", str(GOLDEN)]) == 0
+        assert main(["trace", "convergence", str(GOLDEN)]) == 0
 
 
 class TestDispatch:
@@ -192,7 +192,7 @@ class TestDispatch:
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
-            trace_main(["frobnicate"])
+            main(["trace", "frobnicate"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("command", ["summary", "filter", "convergence", "diff"])
@@ -201,6 +201,6 @@ class TestDispatch:
         present = write_trace(tmp_path / "t.jsonl", SMALL)
         argv = [command, missing] + ([present] if command == "diff" else [])
         with pytest.raises(SystemExit) as excinfo:
-            trace_main(argv)
+            main(["trace", *argv])
         assert excinfo.value.code == 2
         assert f"no such file: {missing}" in capsys.readouterr().err
