@@ -13,7 +13,9 @@ the segment, subject to two invariants the paper guarantees (section 3.3):
 :class:`AdjustedClock` enforces both at adjustment time and keeps the full
 segment history so tests and the leap audit
 (:func:`repro.analysis.metrics.audit_no_leaps`) can re-derive the entire
-trajectory.
+trajectory. The history is stored as parallel columns (segment starts,
+slopes, intercepts); :class:`ClockSegment` objects are built only when
+:attr:`AdjustedClock.segments` is read.
 """
 
 from __future__ import annotations
@@ -74,34 +76,40 @@ class AdjustedClock:
     100.0
     """
 
-    __slots__ = ("_segments", "_starts")
+    __slots__ = ("_k", "_b", "_starts", "_ks", "_bs")
 
     def __init__(self, k: float = 1.0, b: float = 0.0) -> None:
         _validate_slope(k)
-        self._segments: List[ClockSegment] = [
-            ClockSegment(start=-math.inf, k=float(k), b=float(b))
-        ]
+        # The active (latest) segment, and the segment history as
+        # parallel columns, oldest first.
+        self._k = float(k)
+        self._b = float(b)
         self._starts: List[float] = [-math.inf]
+        self._ks: List[float] = [self._k]
+        self._bs: List[float] = [self._b]
 
     @property
     def k(self) -> float:
         """Slope of the currently active (latest) segment."""
-        return self._segments[-1].k
+        return self._k
 
     @property
     def b(self) -> float:
         """Intercept of the currently active (latest) segment."""
-        return self._segments[-1].b
+        return self._b
 
     @property
     def segments(self) -> List[ClockSegment]:
         """Full segment history, oldest first (copy)."""
-        return list(self._segments)
+        return [
+            ClockSegment(start=start, k=k, b=b)
+            for start, k, b in zip(self._starts, self._ks, self._bs)
+        ]
 
     @property
     def adjustments(self) -> int:
         """Number of ``adjust`` calls applied so far."""
-        return len(self._segments) - 1
+        return len(self._starts) - 1
 
     def read(self, local_time: float) -> float:
         """Adjusted time at hardware time ``local_time``.
@@ -111,11 +119,11 @@ class AdjustedClock:
         latest segment start.
         """
         idx = bisect.bisect_right(self._starts, local_time) - 1
-        return self._segments[idx].value(local_time)
+        return self._ks[idx] * local_time + self._bs[idx]
 
     def read_current(self, local_time: float) -> float:
         """Adjusted time using only the active segment (the protocol's view)."""
-        return self._segments[-1].value(local_time)
+        return self._k * local_time + self._b
 
     def adjust(self, k: float, b: float, at_local_time: float) -> None:
         """Switch to segment ``(k, b)`` effective at hardware time
@@ -129,23 +137,23 @@ class AdjustedClock:
             switch point precedes the previous one.
         """
         _validate_slope(k)
-        last = self._segments[-1]
         if at_local_time < self._starts[-1]:
             raise MonotonicityError(
                 f"adjustment at t={at_local_time} precedes previous segment "
                 f"start {self._starts[-1]}"
             )
-        old_value = last.value(at_local_time)
+        old_value = self._k * at_local_time + self._b
         new_value = k * at_local_time + b
         if abs(new_value - old_value) > CONTINUITY_TOL_US:
             raise MonotonicityError(
                 "discontinuous adjustment: segment values differ by "
                 f"{new_value - old_value:.6f}us at t={at_local_time}"
             )
-        self._segments.append(
-            ClockSegment(start=float(at_local_time), k=float(k), b=float(b))
-        )
+        self._k = float(k)
+        self._b = float(b)
         self._starts.append(float(at_local_time))
+        self._ks.append(self._k)
+        self._bs.append(self._b)
 
     def slew_to(
         self, target_value: float, target_slope: float, at_local_time: float
@@ -185,5 +193,5 @@ class AdjustedClock:
 
 
 def _validate_slope(k: float) -> None:
-    if not (k > 0.0) or math.isinf(k) or math.isnan(k):
+    if not 0.0 < k < math.inf:  # NaN fails every comparison
         raise MonotonicityError(f"slope k must be finite and > 0, got {k}")

@@ -35,7 +35,7 @@ def hash128_iter(data: bytes, times: int) -> bytes:
 
 def hmac128(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 truncated to 128 bits."""
-    return _hmac.new(key, data, hashlib.sha256).digest()[:HASH_BYTES]
+    return _hmac.digest(key, data, "sha256")[:HASH_BYTES]
 
 
 def constant_time_eq(a: bytes, b: bytes) -> bool:

@@ -66,8 +66,8 @@ from repro.network.churn import ChurnApplier, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec
 from repro.network.node import Node
 from repro.network.runner import NetworkRunner, RunnerParams
-from repro.obs.counters import work_lane
-from repro.obs.events import emit
+from repro.obs.counters import count, work_lane
+from repro.obs.events import current_observer, emit
 from repro.obs.profile import span
 from repro.phy.channel import SpatialBroadcastChannel
 from repro.phy.params import PhyParams
@@ -258,6 +258,10 @@ class MultiHopRunner:
             node.protocol = stations[i]
             self.nodes.append(node)
         self._by_id: Dict[int, Node] = {node.node_id: node for node in self.nodes}
+        # The station services close over the id table, not the runner:
+        # a runner -> ctx -> runner cycle would keep every finished run
+        # alive until a cyclic GC pass.
+        by_id = self._by_id
         self.ctx = MultiHopContext(
             spec,
             self._slot_rng,
@@ -266,8 +270,8 @@ class MultiHopRunner:
                 + spec.propagation_delay_us
             ),
             sample_timestamp_error=self.channel.sample_timestamp_error,
-            state_of=self._state,
-            is_present=lambda node_id: self._by_id[node_id].present,
+            state_of=lambda node_id: by_id[node_id].protocol,
+            is_present=lambda node_id: by_id[node_id].present,
         )
         self.root = spec.root
         self._state(self.root).hop = 0
@@ -276,7 +280,9 @@ class MultiHopRunner:
         self.beacons_sent = 0
         self.collisions = 0
         self.recorder = TraceRecorder()
-        self._per_hop_errors: Dict[int, List[float]] = {}
+        # Second-half per-hop samples: one (hop, error vs root) array pair
+        # per period, over every sampled station.
+        self._hop_samples: List[Tuple[np.ndarray, np.ndarray]] = []
         #: scheduled departures: period -> list of nodes (tests/examples use
         #: this to exercise root failover)
         self.leave_at: Dict[int, List[int]] = {}
@@ -304,9 +310,6 @@ class MultiHopRunner:
     def _state(self, node_id: int) -> MultiHopProtocol:
         return self._by_id[node_id].protocol
 
-    def _adjusted_at(self, node_id: int, true_time: float) -> float:
-        return self._state(node_id).chain.adjusted_at(true_time)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -322,10 +325,15 @@ class MultiHopRunner:
         with work_lane(f"multihop/{self.protocol_name}"):
             for period in range(1, spec.periods + 1):
                 self._run_period(period)
-        per_hop = {
-            hop: float(np.median(values))
-            for hop, values in sorted(self._per_hop_errors.items())
-        }
+        per_hop: Dict[int, float] = {}
+        if self._hop_samples:
+            hops = np.concatenate([sample[0] for sample in self._hop_samples])
+            errors = np.concatenate([sample[1] for sample in self._hop_samples])
+            below = hops > 0  # the root itself and unreachable stations drop
+            hops = hops[below]
+            errors = np.abs(errors[below])
+            for hop in np.unique(hops).tolist():
+                per_hop[hop] = float(np.median(errors[hops == hop]))
         hop_of = (
             spec.topology.hop_distances(self.root) if self.root >= 0 else {}
         )
@@ -601,16 +609,18 @@ class MultiHopRunner:
         tracking. The accept/reject decision itself is the protocol's."""
         accepted: Set[int] = set()
         latency = self.ctx.rx_latency_us
+        traced = current_observer() is not None
         for receiver, decoded in receptions.items():
-            for tx in decoded:
-                emit(
-                    "beacon_rx",
-                    t_us=tx.tx_true + latency,
-                    node=receiver,
-                    src=tx.sender,
-                    period=period,
-                    proto=self.protocol_name,
-                )
+            if traced:
+                for tx in decoded:
+                    emit(
+                        "beacon_rx",
+                        t_us=tx.tx_true + latency,
+                        node=receiver,
+                        src=tx.sender,
+                        period=period,
+                        proto=self.protocol_name,
+                    )
             if receiver == self.root:
                 accepted.add(receiver)
                 continue
@@ -653,29 +663,41 @@ class MultiHopRunner:
                 self._state(winner).on_elected_root(period, self.ctx)
 
     def _sample_metrics(self, period: int) -> None:
+        """Record every present synchronized station's adjusted clock,
+        ``k * (offset + rate * t) + b``, as one array expression."""
         spec = self.spec
         sample_time = (period + 0.9) * spec.beacon_period_us
-        values = []
-        present_synced = []
-        for i in range(self.n):
-            node = self._by_id[i]
-            if node.present and node.protocol.is_synchronized():
-                values.append(self._adjusted_at(i, sample_time))
-                present_synced.append(i)
+        ids: List[int] = []
+        columns: List[float] = []  # k, b, offset, rate per station, flat
+        for node in self.nodes:
+            protocol = node.protocol
+            if node.present and protocol.is_synchronized():
+                chain = protocol.chain
+                ids.append(node.node_id)
+                # The active segment's slots, read past the k/b properties.
+                columns.extend(
+                    (
+                        chain.adjusted._k,
+                        chain.adjusted._b,
+                        chain.hw.initial_offset,
+                        chain.hw.rate,
+                    )
+                )
+        if columns:
+            count("clock.sample_vector", len(ids))
+            k, b, offset, rate = np.array(columns).reshape(-1, 4).T
+            values = k * (offset + rate * sample_time) + b
+        else:
+            values = np.empty(0)
         self.recorder.record(
             sample_time, values, self.root if self.root >= 0 else -1
         )
         # per-hop error vs the root (second half of the run only)
         if self.root >= 0 and period > spec.periods // 2:
-            root_value = self._adjusted_at(self.root, sample_time)
-            hops = self.spec.topology.hop_distances(self.root)
-            for i, value in zip(present_synced, values):
-                hop = hops.get(i)
-                if hop is None or hop == 0:
-                    continue
-                self._per_hop_errors.setdefault(hop, []).append(
-                    abs(value - root_value)
-                )
+            root_value = self._state(self.root).chain.adjusted_at(sample_time)
+            self._hop_samples.append(
+                (spec.topology.hop_array(self.root)[ids], values - root_value)
+            )
 
 
 def run_multihop(spec: MultiHopSpec) -> MultiHopResult:

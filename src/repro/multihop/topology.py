@@ -27,6 +27,8 @@ class Topology:
         ]
         # Query caches, filled on first use (construction stays cheap).
         self._hop_cache: Dict[int, Dict[int, int]] = {}
+        self._hop_arrays: Dict[int, np.ndarray] = {}
+        self._neighbor_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._two_hop_cache: Dict[int, Tuple[int, ...]] = {}
         self._two_hop_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -137,6 +139,36 @@ class Topology:
             cached = dict(nx.single_source_shortest_path_length(self._graph, root))
             self._hop_cache[root] = cached
         return dict(cached)
+
+    def hop_array(self, root: int) -> np.ndarray:
+        """:meth:`hop_distances` as an int array indexed by station id
+        (-1 where ``root`` cannot be reached). Cached per root and shared:
+        read-only."""
+        cached = self._hop_arrays.get(root)
+        if cached is None:
+            cached = np.full(self.n, -1, dtype=np.intp)
+            hops = self.hop_distances(root)
+            cached[list(hops)] = list(hops.values())
+            cached.flags.writeable = False
+            self._hop_arrays[root] = cached
+        return cached
+
+    def neighbor_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists as one padded int matrix plus degrees:
+        row ``i`` holds :meth:`neighbors` of ``i`` followed by the
+        sentinel ``n`` up to the maximum degree, so gathering the rows of
+        any station set is one indexing operation. Built on first use;
+        shared read-only arrays."""
+        if self._neighbor_table is None:
+            degree = np.array([len(row) for row in self._neighbors], dtype=np.intp)
+            width = int(degree.max()) if self.n else 0
+            rows = np.full((self.n, width), self.n, dtype=np.intp)
+            for node, row in enumerate(self._neighbors):
+                rows[node, : len(row)] = row
+            for array in (rows, degree):
+                array.flags.writeable = False
+            self._neighbor_table = (rows, degree)
+        return self._neighbor_table
 
     def two_hop_neighbors(self, node: int) -> Tuple[int, ...]:
         """Stations within two hops (excluding ``node``): the interference

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -253,7 +253,7 @@ class SpatialBroadcastChannel(BroadcastChannel):
         super().__init__(phy, rng)
         self.topology = topology
         self._link_per: Dict[Tuple[int, int], float] = {}
-        self._scoped_jams: List[Tuple[float, float, FrozenSet[int]]] = []
+        self._scoped_jams: List[Tuple[float, float, np.ndarray]] = []
 
     def set_link_per(
         self, sender: int, receiver: int, per: Optional[float]
@@ -281,17 +281,40 @@ class SpatialBroadcastChannel(BroadcastChannel):
             return
         if end_us <= start_us:
             raise ValueError("jam window must have end > start")
-        self._scoped_jams.append(
-            (float(start_us), float(end_us), frozenset(receivers))
-        )
+        targets = np.zeros(self.topology.n, dtype=bool)
+        targets[[r for r in receivers if 0 <= r < self.topology.n]] = True
+        self._scoped_jams.append((float(start_us), float(end_us), targets))
 
-    def _jammed_for(self, receiver: int, true_time: float) -> bool:
-        if self.is_jammed(true_time):
-            return True
+    def _frame_fates(self, frames: int) -> Optional[np.ndarray]:
+        """Whole-frame fates, one per transmission in the given order
+        (``None`` under the per-receiver model without a fault override)."""
+        override = self._per_override
+        loss_model = self.phy.loss_model
+        if override is None and loss_model == "per_receiver":
+            return None
+        fates = np.ones(frames, dtype=bool)
+        for index in range(frames):
+            if override is not None:
+                per = override
+            elif loss_model == "gilbert_elliott":
+                per = self._gilbert_elliott_per()
+            else:
+                per = self.phy.packet_error_rate
+            if per > 0.0:
+                count("phy.per_draw")
+                fates[index] = self._rng.random() >= per
+        return fates
+
+    def _jammed(self, receivers: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Which (receiver, start) receptions a jam window suppresses."""
+        jammed = np.zeros(starts.size, dtype=bool)
+        if self._jam_starts:
+            last = np.searchsorted(self._jam_starts, starts, side="right") - 1
+            max_end = np.asarray(self._jam_max_end)[np.maximum(last, 0)]
+            jammed = (last >= 0) & (starts < max_end)
         for start, end, targets in self._scoped_jams:
-            if start <= true_time < end and receiver in targets:
-                return True
-        return False
+            jammed |= (starts >= start) & (starts < end) & targets[receivers]
+        return jammed
 
     def deliver_window(
         self,
@@ -308,11 +331,12 @@ class SpatialBroadcastChannel(BroadcastChannel):
         transmissions:
             ``(sender, start_true_time)`` of every frame that went on air
             (the MAC's :func:`repro.mac.contention.resolve_neighborhood`
-            output). Any order: frames are stably sorted by start time
-            here, so frames starting together keep their given order.
+            output), each sender at most once. Any order: frames are
+            stably sorted by start time here, so frames starting together
+            keep their given order.
         receivers:
-            Stations listening this window (callers pass them in
-            ascending id order — the draw order contract).
+            Stations listening this window; they are resolved in
+            ascending id order whatever order they come in.
         airtime_us:
             Frame airtime (defines receiver-side overlap).
         size_bytes:
@@ -321,121 +345,153 @@ class SpatialBroadcastChannel(BroadcastChannel):
             Optional extra gate ``(receiver, sender) -> bool`` applied on
             top of the topology (partition faults cut links this way).
 
-        Delivery is transmitter-driven: each frame, in start-time order,
-        is placed on the heard list of every topology neighbour of its
-        sender, so a window costs the sum of its senders' degrees
-        (counted as ``phy.heard_pair``), not receivers x transmissions.
-        Receivers are then walked in the given order. Per receiver,
-        audible frames are grouped by time overlap: a group of two or
-        more is a collision (nothing decodes, no loss draw); a lone frame
-        survives jamming and one loss draw. With the default
-        ``per_receiver`` loss model the draw happens per (receiver,
-        frame); ``per_transmission`` / Gilbert-Elliott models and the
-        fault-injection override draw one whole-frame fate per
-        transmission, in the given order and before any receiver, exactly
-        like :meth:`BroadcastChannel.broadcast`.
+        The window resolves as array operations over the topology's
+        padded neighbour table
+        (:meth:`~repro.multihop.topology.Topology.neighbor_table`): every
+        frame, in start-time order, meets its sender's neighbours
+        (counted as ``phy.heard_pair``, so a window's delivery work is
+        the sum of its senders' degrees); pairs whose receiver is not
+        listening, or that ``audible`` rejects, drop out; the rest are
+        sorted by receiver, keeping start order within a receiver. Per
+        receiver, a new overlap group starts wherever a frame starts at
+        or after the previous frame's end: a group of two or more is a
+        collision (nothing decodes, no loss draw); a lone frame survives
+        jamming and one loss draw.
+
+        Draw order: whole-frame fates (``per_transmission`` and
+        Gilbert-Elliott models, the fault-injection override) come first,
+        one per transmission in the given order, exactly like
+        :meth:`BroadcastChannel.broadcast`. Then one ``rng.random(k)``
+        call draws every remaining fate in receiver-then-time order: one
+        per lone, un-jammed frame under the ``per_receiver`` model, and
+        one per such frame on a link with a positive per-link override
+        (which takes precedence over the whole-frame fate).
         """
         if airtime_us <= 0:
             raise ValueError("airtime_us must be > 0")
         count("phy.window")
-        self.stats.transmissions += len(transmissions)
-        self.stats.bytes_on_air += size_bytes * len(transmissions)
+        frames = len(transmissions)
+        stats = self.stats
+        stats.transmissions += frames
+        stats.bytes_on_air += size_bytes * frames
+        delivery = WindowDelivery()
+        if not frames:
+            return delivery
 
-        # Whole-frame fates (one draw per transmission, in time order)
-        # when the loss model or a fault override calls for them.
-        frame_delivered: Optional[Dict[int, bool]] = None
-        if self._per_override is not None or self.phy.loss_model != "per_receiver":
-            frame_delivered = {}
-            for sender, _start in transmissions:
-                if self._per_override is not None:
-                    per = self._per_override
-                elif self.phy.loss_model == "gilbert_elliott":
-                    per = self._gilbert_elliott_per()
-                else:
-                    per = self.phy.packet_error_rate
-                if per <= 0.0:
-                    frame_delivered[sender] = True
-                else:
-                    count("phy.per_draw")
-                    frame_delivered[sender] = bool(self._rng.random() >= per)
+        # Frames in stable start order (Python's sort is stable, and
+        # cheaper than numpy's on the few frames of a small window).
+        fates = self._frame_fates(frames)
+        if fates is None:
+            window = sorted(transmissions, key=itemgetter(1))
+        else:
+            order = sorted(range(frames), key=lambda index: transmissions[index][1])
+            window = [transmissions[index] for index in order]
+            fates = fates[order]
+        senders, starts = zip(*window)
+        senders = np.array(senders, dtype=np.intp)
+        starts = np.array(starts, dtype=np.float64)
 
-        neighbors = self.topology.neighbors
-        heard_by: Dict[int, List[Tuple[int, float]]] = {}
-        pairs = 0
-        for frame in sorted(transmissions, key=lambda item: item[1]):
-            hearers = neighbors(frame[0])
-            pairs += len(hearers)
-            for receiver in hearers:
-                heard_by.setdefault(receiver, []).append(frame)
+        # Every frame (now in start order) meets its sender's neighbour
+        # row; padding and stations not listening drop out.
+        n = self.topology.n
+        rows, degree = self.topology.neighbor_table()
+        pairs = int(degree[senders].sum())
         if pairs:
             count("phy.heard_pair", pairs)
+        hears = rows[senders]
+        listening = np.zeros(n + 1, dtype=bool)
+        listening[np.asarray(receivers, dtype=np.intp)] = True
+        keep = listening[hears]
+        if audible is not None:
+            kept = np.nonzero(keep)
+            keep[kept] = np.fromiter(
+                map(audible, hears[kept].tolist(), senders[kept[0]].tolist()),
+                dtype=bool,
+                count=kept[0].size,
+            )
+        # Receiver-major, start order within a receiver: the kept pairs
+        # come out frame-major, so one stable sort by receiver.
+        frame = np.nonzero(keep)[0]
+        rx = hears[keep]
+        if not rx.size:
+            return delivery
+        by_receiver = np.argsort(rx, kind="stable")
+        rx = rx[by_receiver]
+        frame = frame[by_receiver]
 
-        delivery = WindowDelivery()
-        static_per = self.phy.packet_error_rate
-        link_per = self._link_per
-        jammed = self._jammed_for if self._jam_starts or self._scoped_jams else None
-        random = self._rng.random
-        collisions = attempts = draws = jammed_drops = per_drops = deliveries = 0
-        for receiver in receivers:
-            heard = heard_by.get(receiver)
+        # Overlap groups per receiver: a frame joins the previous one's
+        # group when it reaches the same receiver before that one ends.
+        start = starts[frame]
+        joined = (rx[1:] == rx[:-1]) & (start[1:] < start[:-1] + airtime_us)
+        collisions = 0
+        if np.count_nonzero(joined):
+            edge = np.zeros(rx.size + 1, dtype=bool)
+            edge[1:-1] = joined
+            collisions = int(np.count_nonzero(edge[1:] > edge[:-1]))
+            lone = ~(edge[:-1] | edge[1:])
+            rx = rx[lone]
+            frame = frame[lone]
+        attempts = rx.size
+
+        jammed_drops = 0
+        if self._jam_starts or self._scoped_jams:
+            live = ~self._jammed(rx, starts[frame])
+            jammed_drops = attempts - int(np.count_nonzero(live))
+            rx = rx[live]
+            frame = frame[live]
+
+        # Loss fates: the loss model's decision, then per-link overrides.
+        tx = senders[frame]
+        per = self.phy.packet_error_rate
+        if fates is None and not self._link_per:
+            # The per-receiver model alone: every pair draws when per > 0.
+            draws = rx.size if per > 0.0 else 0
+            if draws:
+                decoded = self._rng.random(draws) >= per
+            else:
+                decoded = np.ones(rx.size, dtype=bool)
+        else:
+            draw = np.full(rx.size, fates is None and per > 0.0)
+            decoded = ~draw if fates is None else fates[frame]
+            threshold = per
+            if self._link_per:
+                link_of = self._link_per.get
+                link_per = np.fromiter(
+                    (link_of(link, np.nan) for link in zip(tx.tolist(), rx.tolist())),
+                    dtype=np.float64,
+                    count=rx.size,
+                )
+                linked = ~np.isnan(link_per)
+                decoded |= linked
+                draw = np.where(linked, link_per > 0.0, draw)
+                threshold = np.where(linked, link_per, per)[draw]
+            draws = int(np.count_nonzero(draw))
+            if draws:
+                decoded[draw] = self._rng.random(draws) >= threshold
+
+        deliveries = int(np.count_nonzero(decoded))
+        stats.per_drops += rx.size - deliveries
+        if deliveries < rx.size:
+            rx = rx[decoded]
+            tx = tx[decoded]
+        receptions = delivery.receptions
+        for receiver, sender in zip(rx.tolist(), tx.tolist()):
+            heard = receptions.get(receiver)
             if heard is None:
-                continue
-            if audible is not None:
-                heard = [frame for frame in heard if audible(receiver, frame[0])]
-                if not heard:
-                    continue
-            decoded: List[int] = []
-            index = 0
-            while index < len(heard):
-                group_end = heard[index][1] + airtime_us
-                j = index + 1
-                while j < len(heard) and heard[j][1] < group_end:
-                    group_end = max(group_end, heard[j][1] + airtime_us)
-                    j += 1
-                if j - index > 1:
-                    collisions += 1
-                    index = j
-                    continue
-                sender, start = heard[index]
-                index = j
-                attempts += 1
-                if jammed is not None and jammed(receiver, start):
-                    jammed_drops += 1
-                    continue
-                link = link_per.get((sender, receiver)) if link_per else None
-                if link is not None:
-                    if link <= 0.0:
-                        ok = True
-                    else:
-                        draws += 1
-                        ok = random() >= link
-                elif frame_delivered is not None:
-                    ok = frame_delivered[sender]
-                elif static_per <= 0.0:
-                    ok = True
-                else:
-                    draws += 1
-                    ok = random() >= static_per
-                if ok:
-                    deliveries += 1
-                    decoded.append(sender)
-                else:
-                    per_drops += 1
-            if decoded:
-                delivery.receptions[receiver] = decoded
+                receptions[receiver] = [sender]
+            else:
+                heard.append(sender)
         delivery.collisions = collisions
-        stats = self.stats
         stats.collisions += collisions
         stats.jammed_drops += jammed_drops
-        stats.per_drops += per_drops
         stats.deliveries += deliveries
-        for key, tally in (
+        for site, tally in (
             ("phy.collision_group", collisions),
             ("phy.delivery_attempt", attempts),
             ("phy.per_draw", draws),
         ):
             if tally:
-                count(key, tally)
+                count(site, tally)
         return delivery
 
 

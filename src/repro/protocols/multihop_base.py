@@ -25,7 +25,7 @@ order each beacon period, for nodes in ascending id order:
 3. :meth:`MultiHopProtocol.on_receptions` — handle every frame that
    decoded at this station this period; return whether one was
    *accepted* (the input to silence tracking). Timestamp-estimate
-   jitter is drawn via :meth:`MultiHopContext.sample_timestamp_error`.
+   jitter is drawn via ``MultiHopContext.sample_timestamp_error``.
 4. :meth:`MultiHopProtocol.end_period` — silence bookkeeping.
 5. :meth:`MultiHopProtocol.wants_root_takeover` /
    :meth:`MultiHopProtocol.on_elected_root` — the orphan-election
@@ -105,7 +105,16 @@ class MultiHopContext:
     """The harness services a protocol hook may touch.
 
     One instance per run; the harness refreshes :attr:`root` and
-    :attr:`orphan_election` at the top of every period.
+    :attr:`orphan_election` at the top of every period. The three
+    services are the callables the harness passes in, bound directly:
+
+    * ``sample_timestamp_error()`` - one draw of per-reception
+      timestamp-estimate jitter (the channel's stream, shared with every
+      other lane);
+    * ``state_of(node_id)`` - another station's protocol state
+      (neighbour introspection, e.g. same-hop rotation counts; read-only
+      by convention);
+    * ``is_present(node_id)`` - whether a station is in the network.
     """
 
     __slots__ = (
@@ -115,9 +124,9 @@ class MultiHopContext:
         "rx_latency_us",
         "root",
         "orphan_election",
-        "_sample_timestamp_error",
-        "_state_of",
-        "_is_present",
+        "sample_timestamp_error",
+        "state_of",
+        "is_present",
     )
 
     def __init__(
@@ -142,23 +151,9 @@ class MultiHopContext:
         self.root = spec.root
         #: True while the network has no live root. Refreshed per period.
         self.orphan_election = False
-        self._sample_timestamp_error = sample_timestamp_error
-        self._state_of = state_of
-        self._is_present = is_present
-
-    def sample_timestamp_error(self) -> float:
-        """One draw of per-reception timestamp-estimate jitter (the
-        channel's stream — shared with every other lane)."""
-        return self._sample_timestamp_error()
-
-    def state_of(self, node_id: int) -> "MultiHopProtocol":
-        """Another station's protocol state (neighbour introspection —
-        e.g. same-hop rotation counts). Read-only by convention."""
-        return self._state_of(node_id)
-
-    def is_present(self, node_id: int) -> bool:
-        """Whether a station is currently in the network."""
-        return self._is_present(node_id)
+        self.sample_timestamp_error = sample_timestamp_error
+        self.state_of = state_of
+        self.is_present = is_present
 
 
 class MultiHopProtocol(ABC):

@@ -1,10 +1,11 @@
 """Test oracle: the receiver-scan spatial delivery the simulator replaced.
 
 :meth:`repro.phy.channel.SpatialBroadcastChannel.deliver_window` now
-walks each transmitter's neighbour list once; this module keeps the
-receiver-scan loop it replaced (every receiver filtering every
-transmission), verbatim apart from running as a function over a channel,
-so ``tests/test_spatial_delivery.py`` can pin the new code to it window
+resolves a window as array operations; this module keeps the
+receiver-scan loop it started from (every receiver filtering every
+transmission, one scalar loss draw at a time), verbatim apart from
+running as a function over a channel and spelling out the jam check, so
+``tests/test_spatial_delivery.py`` can pin the array path to it window
 for window. Not used by the simulator.
 """
 
@@ -83,7 +84,10 @@ def deliver_window(
                 continue
             sender, start = group[0]
             count("phy.delivery_attempt")
-            if channel._jammed_for(receiver, start):
+            if channel.is_jammed(start) or any(
+                jam_start <= start < jam_end and targets[receiver]
+                for jam_start, jam_end, targets in channel._scoped_jams
+            ):
                 channel.stats.jammed_drops += 1
                 continue
             link = channel._link_per.get((sender, receiver))

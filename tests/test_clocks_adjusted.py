@@ -11,6 +11,16 @@ def test_identity_by_default():
     assert clock.k == 1.0 and clock.b == 0.0
 
 
+def test_active_segment_is_read_only():
+    # k and b change only through adjust(), which checks slope and continuity.
+    clock = AdjustedClock()
+    with pytest.raises(AttributeError):
+        clock.k = 2.0
+    with pytest.raises(AttributeError):
+        clock.b = 5.0
+    assert clock.read(10.0) == clock.read_current(10.0) == 10.0
+
+
 def test_continuous_adjust_accepted():
     clock = AdjustedClock()
     # new segment through (100, 100): c = 1.0002 * t - 0.02

@@ -62,8 +62,41 @@ class TestTopology:
 
     def test_queries_build_no_index_at_construction(self):
         topo = Topology.grid(4, 4)
-        assert topo._two_hop_index is None
+        assert topo._two_hop_index is None and topo._neighbor_table is None
         assert not topo._two_hop_cache and not topo._hop_cache
+        assert not topo._hop_arrays
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Topology.grid(3, 4, diagonal=True),
+            lambda: Topology.chain(1),
+            lambda: Topology.unit_disk(
+                15, np.random.default_rng(2), radius_m=200.0, require_connected=False
+            ),
+        ],
+    )
+    def test_neighbor_table_pads_each_row_with_the_sentinel(self, build):
+        topo = build()
+        rows, degree = topo.neighbor_table()
+        assert rows.shape == (topo.n, max(degree.max(), 0))
+        for node in range(topo.n):
+            assert degree[node] == topo.degree(node)
+            assert tuple(rows[node, : degree[node]]) == topo.neighbors(node)
+            assert (rows[node, degree[node] :] == topo.n).all()
+        assert topo.neighbor_table() is topo.neighbor_table()
+        assert not rows.flags.writeable
+
+    def test_hop_array_matches_hop_distances(self):
+        import networkx as nx
+
+        graph = nx.path_graph(4)
+        graph.add_nodes_from([4, 5])
+        graph.add_edge(4, 5)
+        topo = Topology(graph)
+        hops = topo.hop_array(1)
+        assert hops.tolist() == [1, 0, 1, 2, -1, -1]
+        assert topo.hop_array(1) is hops and not hops.flags.writeable
 
     def test_two_hop_index_flattens_two_hop_neighbors(self):
         topo = Topology.grid(4, 5, diagonal=True)
@@ -164,6 +197,49 @@ class TestMultiHopSync:
         assert result.trace.present_counts[-1] == 5
         tail = result.trace.window(15.0 * S, 20.0 * S)
         assert float(tail.max_diff_us.max()) < 500.0
+
+    def test_samples_equal_each_stations_chain_reading(self):
+        """The vectorised sample is bit-identical to reading every present
+        synchronized station's chain one by one."""
+        spec = MultiHopSpec(topology=Topology.grid(4, 4), seed=3, duration_s=5.0)
+        runner = MultiHopRunner(spec)
+        runner.leave_at[10] = [5]
+        runner.return_at[30] = [5]
+        record = runner.recorder.record
+        seen = []
+
+        def checked(sample_time, values, reference_id):
+            want = [
+                node.protocol.chain.adjusted_at(sample_time)
+                for node in runner.nodes
+                if node.present and node.protocol.is_synchronized()
+            ]
+            assert list(values) == want
+            seen.append(len(want))
+            record(sample_time, values, reference_id)
+
+        runner.recorder.record = checked
+        runner.run()
+        assert len(seen) == spec.periods and min(seen) < max(seen) == 16
+
+    @pytest.mark.parametrize("protocol", ["sstsp", "beaconless", "coop"])
+    def test_finished_runner_is_freed_by_refcounting(self, protocol):
+        import gc
+        import weakref
+
+        spec = MultiHopSpec(
+            topology=Topology.grid(3, 3), seed=1, duration_s=2.0, protocol=protocol
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            runner = MultiHopRunner(spec)
+            runner.run()
+            ref = weakref.ref(runner)
+            del runner
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_collisions_counted(self):
         spec = MultiHopSpec(topology=Topology.grid(4, 4), seed=3, duration_s=10.0)

@@ -1,11 +1,17 @@
 """Property-based tests on the clock substrate (hypothesis)."""
 
+import bisect
 import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.clocks.adjusted import AdjustedClock, MonotonicityError
+from repro.clocks.adjusted import (
+    CONTINUITY_TOL_US,
+    AdjustedClock,
+    ClockSegment,
+    MonotonicityError,
+)
 from repro.clocks.oscillator import HardwareClock, TsfTimer
 
 rates = st.floats(min_value=0.999, max_value=1.001)
@@ -100,3 +106,113 @@ class TestAdjustedClockProperties:
         except MonotonicityError:
             return
         raise AssertionError("discontinuous adjustment accepted")
+
+
+class _SegmentReference:
+    """The per-segment adjusted clock: one ClockSegment object per
+    adjustment, the layout AdjustedClock stored before its history became
+    columns. The columnar clock must be observably identical to it."""
+
+    def __init__(self, k: float = 1.0, b: float = 0.0) -> None:
+        if not (k > 0.0) or math.isinf(k) or math.isnan(k):
+            raise MonotonicityError(f"slope k must be finite and > 0, got {k}")
+        self.segments = [ClockSegment(start=-math.inf, k=float(k), b=float(b))]
+
+    def read(self, local_time: float) -> float:
+        starts = [segment.start for segment in self.segments]
+        index = bisect.bisect_right(starts, local_time) - 1
+        return self.segments[index].value(local_time)
+
+    def read_current(self, local_time: float) -> float:
+        return self.segments[-1].value(local_time)
+
+    def adjust(self, k: float, b: float, at_local_time: float) -> None:
+        if not (k > 0.0) or math.isinf(k) or math.isnan(k):
+            raise MonotonicityError(f"slope k must be finite and > 0, got {k}")
+        last = self.segments[-1]
+        if at_local_time < last.start:
+            raise MonotonicityError("precedes previous segment start")
+        if abs((k * at_local_time + b) - last.value(at_local_time)) > CONTINUITY_TOL_US:
+            raise MonotonicityError("discontinuous adjustment")
+        self.segments.append(
+            ClockSegment(start=float(at_local_time), k=float(k), b=float(b))
+        )
+
+    def is_monotonic(self, t_start: float, t_end: float, samples: int = 256) -> bool:
+        points = [t_start + (t_end - t_start) * i / samples for i in range(samples + 1)]
+        points.extend(
+            s.start for s in self.segments if t_start <= s.start <= t_end
+        )
+        points.sort()
+        previous = -math.inf
+        for point in points:
+            value = self.read(point)
+            if value < previous - 1e-6:
+                return False
+            previous = value
+        return True
+
+
+#: One step of an adjustment sequence: (kind, slope, switch-time delta,
+#: intercept error). "slew" joins continuously, "jump" adds the error to
+#: the joining intercept, "bad_slope" passes a non-positive/NaN/inf k.
+adjust_steps = st.tuples(
+    st.sampled_from(["slew", "slew", "slew", "jump", "bad_slope"]),
+    slopes,
+    st.floats(min_value=-5e4, max_value=1e6),
+    st.sampled_from([0.0, 5e-4, -5e-4, 2e-3, -1.0, 50.0]),
+)
+bad_slopes = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+
+class TestColumnarAdjustedClock:
+    @given(
+        k0=slopes,
+        b0=st.floats(min_value=-1e3, max_value=1e3),
+        start=st.floats(min_value=0.0, max_value=1e8),
+        steps=st.lists(adjust_steps, max_size=25),
+        bad=bad_slopes,
+        probes=st.lists(st.floats(min_value=-1e6, max_value=1e9), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_segment_reference(self, k0, b0, start, steps, bad, probes):
+        clock = AdjustedClock(k0, b0)
+        reference = _SegmentReference(k0, b0)
+        t = start
+        for kind, k, delta, error in steps:
+            t += delta
+            if kind == "bad_slope":
+                k = bad
+                b = 0.0
+            else:
+                b = reference.read_current(t) - k * t + (error if kind == "jump" else 0.0)
+            outcomes = []
+            for target in (reference, clock):
+                try:
+                    target.adjust(k, b, at_local_time=t)
+                    outcomes.append(None)
+                except MonotonicityError:
+                    outcomes.append(MonotonicityError)
+            assert outcomes[0] is outcomes[1]
+            assert clock.segments == reference.segments
+            assert clock.adjustments == len(reference.segments) - 1
+            assert (clock.k, clock.b) == (reference.segments[-1].k, reference.segments[-1].b)
+        starts = [s.start for s in reference.segments[1:]]
+        for probe in probes + starts + [s + 0.5 for s in starts]:
+            assert clock.read(probe) == reference.read(probe)
+            assert clock.read_current(probe) == reference.read_current(probe)
+        low = min(starts, default=start) - 10.0
+        high = max(starts, default=start) + 10.0
+        assert clock.is_monotonic(low, high) == reference.is_monotonic(low, high)
+        assert clock.is_monotonic(low, high, samples=7) == reference.is_monotonic(
+            low, high, samples=7
+        )
+
+    @given(bad=bad_slopes)
+    def test_bad_initial_slope_raises_like_reference(self, bad):
+        for build in (AdjustedClock, _SegmentReference):
+            try:
+                build(bad, 0.0)
+            except MonotonicityError:
+                continue
+            raise AssertionError(f"{build.__name__} accepted slope {bad}")

@@ -1,15 +1,25 @@
 """Property-based tests on hash chains, uTESLA and contention (hypothesis)."""
 
+import hashlib
+import hmac
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.fractal import FractalTraversal
 from repro.crypto.hashchain import DenseHashChain, verify_element
-from repro.crypto.primitives import hash128_iter
+from repro.crypto.primitives import HASH_BYTES, hash128_iter, hmac128
 from repro.mac.contention import resolve_contention
 
 seeds = st.binary(min_size=1, max_size=32)
 lengths = st.integers(min_value=1, max_value=256)
+
+
+class TestMacProperties:
+    @given(key=st.binary(max_size=200), data=st.binary(max_size=300))
+    def test_hmac128_is_truncated_hmac_sha256(self, key, data):
+        want = hmac.new(key, data, hashlib.sha256).digest()[:HASH_BYTES]
+        assert hmac128(key, data) == want
 
 
 class TestChainProperties:

@@ -1,12 +1,12 @@
-"""Differential test: transmitter-driven spatial delivery vs the receiver scan.
+"""Differential test: array spatial delivery vs the receiver scan.
 
 :mod:`tests.delivery_oracle` keeps the receiver-scan loop
 :meth:`repro.phy.channel.SpatialBroadcastChannel.deliver_window` used
-before it became transmitter-driven. Every window sequence here must
-resolve identically through both: the same :class:`WindowDelivery`, the
-same :class:`ChannelStats`, the same post-window RNG and burst-chain
-state, and the same work counters (the new code adds only
-``phy.heard_pair``, which must equal the senders' summed degrees).
+before it became array operations. Every window sequence here must
+resolve identically through both: the same :class:`WindowDelivery`, and
+after every window the same :class:`ChannelStats`, RNG and burst-chain
+state and work counters (the array path adds only ``phy.heard_pair``,
+which must equal the senders' summed degrees).
 
 The second half pins the SSTSP relay rotation's per-period same-hop
 snapshot to the brute-force two-hop sum it replaced.
@@ -14,7 +14,7 @@ snapshot to the brute-force two-hop sum it replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,6 +75,7 @@ def _run(scenario: Scenario, deliver):
             return groups.get(receiver) == groups.get(sender)
 
     outcomes = []
+    states = []
     with count_work() as work:
         for transmissions, receivers in scenario.windows:
             delivery = deliver(
@@ -86,20 +87,37 @@ def _run(scenario: Scenario, deliver):
                 audible=audible,
             )
             outcomes.append((delivery.receptions, delivery.collisions))
-    state = (channel.stats, channel._rng.bit_generator.state, channel._ge_bad)
-    return outcomes, state, work.snapshot()
+            # Everything a window leaves behind, checked window by window.
+            states.append(
+                (
+                    replace(channel.stats),
+                    channel._rng.bit_generator.state,
+                    channel._ge_bad,
+                    work.snapshot(),
+                )
+            )
+    return outcomes, states, work.snapshot()
 
 
 def _new(channel, *args, **kwargs):
     return channel.deliver_window(*args, **kwargs)
 
 
+def _without_heard_pairs(states):
+    return [
+        (stats, rng, ge_bad, {k: v for k, v in work.items() if k != "phy.heard_pair"})
+        for stats, rng, ge_bad, work in states
+    ]
+
+
 def assert_same_delivery(scenario: Scenario):
-    """Both delivery loops agree on every window of ``scenario``."""
-    got, got_state, got_work = _run(scenario, _new)
-    want, want_state, want_work = _run(scenario, oracle.deliver_window)
+    """Both delivery paths agree on every window of ``scenario``: the
+    receptions and collisions, and after each window the channel stats,
+    the RNG and burst-chain state and the ``phy.*`` counters."""
+    got, got_states, got_work = _run(scenario, _new)
+    want, want_states, want_work = _run(scenario, oracle.deliver_window)
     assert got == want
-    assert got_state == want_state
+    assert _without_heard_pairs(got_states) == _without_heard_pairs(want_states)
     heard = got_work.pop("phy.heard_pair", 0)
     assert got_work == want_work
     topology = scenario.topology
@@ -271,6 +289,100 @@ def test_partition_jams_and_link_per_match_receiver_scan():
     assert_same_delivery(scenario)
 
 
+@pytest.mark.parametrize(
+    "loss_model", ["per_receiver", "per_transmission", "gilbert_elliott"]
+)
+@pytest.mark.parametrize("packet_error_rate", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("per_override", [None, 0.0, 0.4, 1.0])
+def test_loss_models_per_zero_and_override_match_receiver_scan(
+    loss_model, packet_error_rate, per_override
+):
+    scenario = _random_scenario(
+        5,
+        Topology.grid(5, 5, diagonal=True),
+        loss_model=loss_model,
+        packet_error_rate=packet_error_rate,
+        per_override=per_override,
+    )
+    assert_same_delivery(scenario)
+
+
+# One spatial effect at a time, on top of each loss model.
+EFFECTS = {
+    "partition": dict(groups={node: node % 5 // 2 for node in range(25)}),
+    "global-jam": dict(jams=[(50.0, 140.0), (300.0, 420.0)]),
+    "scoped-jam": dict(
+        scoped_jams=[(0.0, 300.0, (0, 6, 12, 18, 24)), (200.0, 900.0, (7, 8))]
+    ),
+    "link-per-0": dict(link_per={(1, 0): 0.0, (6, 7): 0.0, (12, 13): 0.0}),
+    "link-per-1": dict(link_per={(1, 0): 1.0, (6, 7): 1.0, (12, 13): 1.0}),
+    "link-per-mid": dict(link_per={(1, 0): 0.5, (6, 7): 0.3, (12, 13): 0.9}),
+}
+
+
+@pytest.mark.parametrize("effect", sorted(EFFECTS))
+@pytest.mark.parametrize(
+    "loss_model", ["per_receiver", "per_transmission", "gilbert_elliott"]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_each_spatial_effect_matches_receiver_scan(effect, loss_model, seed):
+    scenario = _random_scenario(
+        seed,
+        Topology.grid(5, 5),
+        loss_model=loss_model,
+        packet_error_rate=0.2,
+        **EFFECTS[effect],
+    )
+    assert_same_delivery(scenario)
+
+
+def test_empty_windows_match_receiver_scan():
+    topology = Topology.grid(3, 3)
+    windows = [
+        ([], []),
+        ([(0, 9.0), (8, 90.0)], []),
+        ([], list(range(9))),
+        ([(4, 9.0)], [4]),  # the only listener is the sender itself
+    ]
+    for loss_model in ("per_receiver", "per_transmission", "gilbert_elliott"):
+        scenario = Scenario(
+            topology=topology, windows=windows, loss_model=loss_model
+        )
+        assert assert_same_delivery(scenario) == [({}, 0)] * 4
+
+
+def test_isolated_stations_match_receiver_scan():
+    import networkx as nx
+
+    graph = nx.path_graph(5)
+    graph.add_nodes_from(range(5, 8))  # three stations nobody hears
+    topology = Topology(graph)
+    windows = [
+        ([(5, 0.0), (2, 9.0), (6, 9.0), (0, 90.0)], list(range(8))),
+        ([(5, 0.0), (6, 0.0), (7, 0.0)], list(range(8))),
+        ([(1, 0.0), (3, 80.0)], [0, 2, 4, 5, 6, 7]),
+    ]
+    got = assert_same_delivery(Scenario(topology=topology, windows=windows))
+    assert got[1] == ({}, 0)
+    for receptions, _collisions in got:
+        assert not set(receptions) & {5, 6, 7}
+
+
+def test_receiver_order_does_not_change_the_draws():
+    """Receivers resolve in ascending id whatever order they come in."""
+    scenario = _random_scenario(2, Topology.grid(5, 5), packet_error_rate=0.3)
+    shuffled = Scenario(
+        topology=scenario.topology,
+        windows=[
+            (transmissions, receivers[::-1])
+            for transmissions, receivers in scenario.windows
+        ],
+        packet_error_rate=0.3,
+        seed=scenario.seed,
+    )
+    assert _run(shuffled, _new) == _run(scenario, _new)
+
+
 def test_zero_transmission_window_adds_no_attempt_or_pair_keys():
     topology = Topology.grid(3, 3)
     scenario = Scenario(topology=topology, windows=[([], list(range(9)))])
@@ -287,6 +399,35 @@ def test_all_colliding_window_decodes_nothing():
     assert collisions > 0
     _outcomes, _state, work = _run(scenario, _new)
     assert work["phy.collision_group"] == collisions
+
+
+def test_fully_collided_window_draws_nothing():
+    """Every receiver hears only overlapping frames: no attempt, no
+    draw, the RNG untouched."""
+    topology = Topology.chain(3)
+    scenario = Scenario(
+        topology=topology, windows=[([(0, 10.0), (2, 40.0)], [0, 1, 2])]
+    )
+    assert assert_same_delivery(scenario) == [({}, 1)]
+    _outcomes, states, work = _run(scenario, _new)
+    assert states[-1][1] == np.random.default_rng(0).bit_generator.state
+    assert work == {
+        "phy.window": 1,
+        "phy.heard_pair": 2,
+        "phy.collision_group": 1,
+    }
+
+
+def test_tied_starts_collide_at_shared_receivers_only():
+    topology = Topology.chain(6)
+    # 0 and 2 tie at receiver 1; 3 hears 2 and 4 hears 5 alone.
+    transmissions = [(2, 18.0), (5, 18.0), (0, 18.0)]
+    scenario = Scenario(
+        topology=topology,
+        windows=[(transmissions, list(range(6)))],
+        packet_error_rate=0.0,
+    )
+    assert assert_same_delivery(scenario) == [({3: [2], 4: [5]}, 1)]
 
 
 @settings(max_examples=50, deadline=None)
