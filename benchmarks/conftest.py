@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.obs import count_work
+from repro.obs import WorkCounters, instrument
 from repro.sweep import SweepOptions
 
 
@@ -124,7 +124,8 @@ def measure_work(benchmark, fn, *args, **kwargs):
     is what lets ``repro bench-gate`` compare them with zero tolerance.
     Returns ``fn``'s result so callers can assert on it.
     """
-    with count_work() as work:
+    work = WorkCounters()
+    with instrument(counters=work):
         result = fn(*args, **kwargs)
     benchmark.extra_info["work"] = work.snapshot()
     return result

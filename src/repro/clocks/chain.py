@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from repro.clocks.adjusted import AdjustedClock
 from repro.clocks.oscillator import HardwareClock
-from repro.obs.counters import count
+from repro.obs.context import count
 
 
 class ClockChain:

@@ -30,7 +30,7 @@ from repro.crypto.hashchain import DenseHashChain, HashChainRegistry
 from repro.crypto.mutesla import IntervalSchedule, MuTeslaReceiver, MuTeslaSender, SecuredPacket
 from repro.crypto.primitives import hash128_iter
 from repro.mac.beacon import SecureBeaconFrame
-from repro.obs.events import emit
+from repro.obs.context import emit
 from repro.phy.params import SSTSP_BEACON_BYTES
 
 

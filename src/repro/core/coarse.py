@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.config import SstspConfig
-from repro.obs.events import emit
+from repro.obs.context import emit
 from repro.security.outliers import robust_offset_average
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.events import emit, observe_value
+from repro.obs.context import emit, observe_value
 
 
 @dataclass

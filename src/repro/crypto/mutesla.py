@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashchain import HashChain, verify_element
 from repro.crypto.primitives import constant_time_eq, hash128_iter, hmac128
-from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.context import count, emit
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from repro.core.config import SstspConfig
 from repro.fastlane.common import ChurnDriver, VectorState, resolve_window
 from repro.network.churn import ChurnSchedule
 from repro.network.ibss import ScenarioSpec
-from repro.obs.counters import count, work_lane
+from repro.obs.context import count, work_lane
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.security.attacks import AttackWindow
 

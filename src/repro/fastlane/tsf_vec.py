@@ -30,7 +30,7 @@ from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.fastlane.common import ChurnDriver, VectorState, resolve_window
 from repro.network.churn import ChurnSchedule
 from repro.network.ibss import ScenarioSpec
-from repro.obs.counters import count, work_lane
+from repro.obs.context import count, work_lane
 from repro.phy.params import TSF_BEACON_AIRTIME_SLOTS
 from repro.security.attacks import AttackWindow
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.network.churn import REFERENCE_MARKER
-from repro.obs.events import emit
+from repro.obs.context import emit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.runner import NetworkRunner

@@ -14,7 +14,7 @@ the lightweight cross-module view the flow rules consume:
 * a :class:`ProjectModel` over all of them, resolving dotted call paths
   to :class:`FunctionSig` entries, following one-hop re-exports through
   package ``__init__`` files (``repro.obs.emit`` ->
-  ``repro.obs.events.emit``).
+  ``repro.obs.context.emit``).
 
 Everything here is a plain ``ast`` pass — no imports are executed, so
 building the model over a tree that does not even import cleanly is
@@ -233,7 +233,7 @@ class ProjectModel:
             sig = info.functions.get(symbol)
             if sig is not None:
                 return sig
-            # One-hop re-export: `from repro.obs.events import emit` in
+            # One-hop re-export: `from repro.obs.context import emit` in
             # obs/__init__.py makes "repro.obs.emit" an alias.
             head = parts[cut]
             target = info.aliases.get(head)

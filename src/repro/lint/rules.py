@@ -94,7 +94,7 @@ class LintConfig:
     #: are what the E-series checks against the event schema (and what
     #: T103 skips — payload unit policy is E204's job).
     emit_funcs: FrozenSet[str] = frozenset(
-        {"repro.obs.events.emit", "repro.obs.emit"}
+        {"repro.obs.context.emit", "repro.obs.emit"}
     )
     #: Kernel packages where *any* RNG generator construction is an
     #: R301 finding: kernel code receives streams from the registry /

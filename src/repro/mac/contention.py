@@ -57,8 +57,7 @@ from typing import (
 
 import numpy as np
 
-from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.context import count, emit
 
 T = TypeVar("T")
 

@@ -66,9 +66,7 @@ from repro.network.churn import ChurnApplier, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec
 from repro.network.node import Node
 from repro.network.runner import NetworkRunner, RunnerParams
-from repro.obs.counters import count, work_lane
-from repro.obs.events import current_observer, emit
-from repro.obs.profile import span
+from repro.obs.context import active, count, emit, span, work_lane
 from repro.phy.channel import SpatialBroadcastChannel
 from repro.phy.params import PhyParams
 from repro.protocols.multihop_base import (
@@ -609,7 +607,7 @@ class MultiHopRunner:
         tracking. The accept/reject decision itself is the protocol's."""
         accepted: Set[int] = set()
         latency = self.ctx.rx_latency_us
-        traced = current_observer() is not None
+        traced = active().trace is not None
         for receiver, decoded in receptions.items():
             if traced:
                 for tx in decoded:

@@ -35,9 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.analysis.metrics import TraceRecorder, SyncTrace
 from repro.mac.contention import ContentionResult, partition_domains, resolve_contention
-from repro.obs.counters import work_lane
-from repro.obs.events import emit
-from repro.obs.profile import span
+from repro.obs.context import emit, span, work_lane
 from repro.network.churn import ChurnApplier, ChurnSchedule
 from repro.network.node import Node
 from repro.phy.channel import BroadcastChannel

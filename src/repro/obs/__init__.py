@@ -1,9 +1,13 @@
 """Observability layer: event tracing, metrics, and profiling.
 
-Four concerns, four modules:
+One install context and the sink classes it installs:
 
-* :mod:`repro.obs.events` — the structured event-tracing bus the kernel
-  emits protocol events onto (strict no-op when disabled);
+* :mod:`repro.obs.context` — the only owner of which sinks are
+  installed: :func:`~repro.obs.context.instrument` installs them and the
+  kernel-side hooks (``emit``, ``observe_value``, ``count``,
+  ``work_lane``, ``span``) read them;
+* :mod:`repro.obs.events` — the event-trace sink
+  (:class:`~repro.obs.events.RunObserver`) and JSONL reader;
 * :mod:`repro.obs.registry` — counters / gauges / histogram summaries,
   per-run with per-sweep roll-up;
 * :mod:`repro.obs.profile` — the one opt-in wall-clock
@@ -17,56 +21,48 @@ Four concerns, four modules:
 See ``docs/observability.md`` for the event catalog and usage.
 """
 
-from repro.obs.counters import (
-    WorkCounters,
+from repro.obs.context import (
+    Instruments,
+    active,
     count,
-    count_work,
-    current_counters,
-    diff_counts,
-    merge_counts,
+    emit,
+    instrument,
+    observe_value,
+    span,
     work_lane,
 )
+from repro.obs.counters import WorkCounters, diff_counts, merge_counts
 from repro.obs.events import (
     EVENT_CATALOG,
     TRACE_SCHEMA_VERSION,
     RunObserver,
-    current_observer,
-    emit,
-    observe_run,
-    observe_value,
     read_events,
 )
 from repro.obs.events_schema import EVENT_SCHEMAS, EventSpec, validate_record
-from repro.obs.profile import (
-    Profiler,
-    profile_spans,
-    span,
-)
+from repro.obs.profile import Profiler
 from repro.obs.registry import HistogramSummary, MetricsRegistry, merge_snapshots
 
 __all__ = [
+    "Instruments",
+    "active",
+    "instrument",
+    "emit",
+    "observe_value",
+    "count",
+    "work_lane",
+    "span",
     "EVENT_CATALOG",
     "EVENT_SCHEMAS",
     "EventSpec",
     "TRACE_SCHEMA_VERSION",
     "validate_record",
     "RunObserver",
-    "current_observer",
-    "emit",
-    "observe_run",
-    "observe_value",
     "read_events",
     "HistogramSummary",
     "MetricsRegistry",
     "merge_snapshots",
     "Profiler",
-    "profile_spans",
-    "span",
     "WorkCounters",
-    "count",
-    "count_work",
-    "current_counters",
     "diff_counts",
     "merge_counts",
-    "work_lane",
 ]

@@ -11,16 +11,16 @@ That exactness is what lets the bench gate check work drift with zero
 tolerance (:mod:`repro.analysis.benchgate`) while wall time keeps its
 noise band.
 
-The design mirrors the event bus (:mod:`repro.obs.events`): kernel code
-calls :func:`count`, which costs one module-global load and a ``None``
-check when counting is off — no clock reads, no randomness, no state
-mutation — so a counted run is bit-identical to an uncounted one (pinned
-by ``tests/test_obs_counters.py`` in the ``TestTracingParity`` style).
+Kernel code calls :func:`repro.obs.context.count`, which costs one
+module-global load and a ``None`` check when counting is off — no clock
+reads, no randomness, no state mutation — so a counted run is
+bit-identical to an uncounted one (pinned by
+``tests/test_obs_counters.py`` in the ``TestTracingParity`` style).
 
 Counters are keyed ``<lane>/<name>`` where the *lane* is pushed by the
 enclosing engine (``singlehop/sstsp``, ``multihop/coop``,
-``fastlane/tsf``) via :func:`work_lane`, and the *name* identifies the
-instrumented site (``engine.heap_push``, ``phy.per_draw``,
+``fastlane/tsf``) via :class:`~repro.obs.context.work_lane`, and the
+*name* identifies the instrumented site (``engine.heap_push``, ``phy.per_draw``,
 ``crypto.hash_op`` …). Lanes nest; the innermost lane owns the work, so
 the degenerate complete-graph delegation (multi-hop → single-hop lane)
 attributes its counts to the engine that actually ran.
@@ -29,7 +29,8 @@ attributes its counts to the engine that actually ran.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class WorkCounters:
@@ -79,79 +80,25 @@ class WorkCounters:
         return total
 
 
-#: The installed sink; None disables counting (the strict-no-op state).
-_COUNTERS: Optional[WorkCounters] = None
+# perfbench/ (the frozen repository benchmark) imports these two names;
+# nothing else may. New code uses repro.obs.context.instrument/active.
 
 
-def count(name: str, by: int = 1) -> None:
-    """Count ``by`` units of work at site ``name`` (no-op when off).
+@contextmanager
+def count_work() -> Iterator[WorkCounters]:
+    """Install a fresh :class:`WorkCounters` sink; yields it."""
+    from repro.obs.context import instrument
 
-    The disabled cost is one module-global load and a ``None`` check —
-    the same contract as :func:`repro.obs.events.emit` — so hot kernel
-    paths stay permanently instrumented.
-    """
-    sink = _COUNTERS
-    if sink is not None:
-        sink.add(name, by)
+    counters = WorkCounters()
+    with instrument(counters=counters):
+        yield counters
 
 
 def current_counters() -> Optional[WorkCounters]:
-    """The installed sink, or None."""
-    return _COUNTERS
+    """The installed counters sink, or None."""
+    from repro.obs.context import active
 
-
-class count_work:
-    """Context manager installing a :class:`WorkCounters` sink.
-
-    ::
-
-        with count_work() as work:
-            runner.run()
-        work.snapshot()  # {"singlehop/sstsp/engine.heap_push": 1234, ...}
-
-    The previous sink (normally None) is restored on exit, exceptions
-    included.
-    """
-
-    def __init__(self) -> None:
-        self.counters = WorkCounters()
-        self._previous: Optional[WorkCounters] = None
-
-    def __enter__(self) -> WorkCounters:
-        global _COUNTERS
-        self._previous = _COUNTERS
-        _COUNTERS = self.counters
-        return self.counters
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _COUNTERS
-        _COUNTERS = self._previous
-
-
-class work_lane:
-    """Context manager attributing enclosed work to ``lane``.
-
-    A strict no-op when counting is off. The sink is captured on entry
-    so an exit always pops the lane it pushed, even if the sink changes
-    mid-scope.
-    """
-
-    __slots__ = ("_lane", "_sink")
-
-    def __init__(self, lane: str) -> None:
-        self._lane = lane
-        self._sink: Optional[WorkCounters] = None
-
-    def __enter__(self) -> "work_lane":
-        self._sink = _COUNTERS
-        if self._sink is not None:
-            self._sink.push_lane(self._lane)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._sink is not None:
-            self._sink.pop_lane()
-            self._sink = None
+    return active().counters
 
 
 # ---------------------------------------------------------------------------

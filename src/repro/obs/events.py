@@ -4,17 +4,15 @@ Protocol-level *events* — who won beacon contention, which beacons the
 guard rejected, when uTESLA deferred vs. authenticated, when the
 reference role changed hands — are what SSTSP's claims are about, yet
 the traces the kernel records are aggregate error curves. This module
-is the bus those events flow over: instrumented kernel code calls
-:func:`emit`, and when a :class:`RunObserver` is installed the event is
-recorded (in memory, to JSONL, or both) and its counter incremented in
-the observer's :class:`~repro.obs.registry.MetricsRegistry`.
+holds the bus's sink: instrumented kernel code calls
+:func:`repro.obs.context.emit`, and when :func:`repro.obs.context.instrument`
+has installed a :class:`RunObserver` the event is recorded (in memory,
+to JSONL, or both) and its counter incremented in the observer's
+:class:`~repro.obs.registry.MetricsRegistry`.
 
-The bus is a **strict no-op when disabled**: :func:`emit` costs one
-module-global load and a ``None`` check, draws no randomness, reads no
-clock and mutates no simulation state, so enabling tracing cannot change
-any result — the tier-1 parity suites assert exactly that
-(``tests/test_differential_parity.py``). This is the property that lets
-every lane stay instrumented permanently.
+The bus is a **strict no-op when disabled** (see :mod:`repro.obs.context`),
+so enabling tracing cannot change any result — the tier-1 parity suites
+assert exactly that (``tests/test_differential_parity.py``).
 
 Event records are JSON objects with a stable schema
 (:data:`TRACE_SCHEMA_VERSION`); see ``docs/observability.md`` for the
@@ -84,7 +82,7 @@ class RunObserver:
         node: Optional[int],
         fields: Dict[str, Any],
     ) -> None:
-        """Record one event (the bus calls this; prefer :func:`emit`)."""
+        """Record one event (the bus calls this; prefer ``emit``)."""
         self._seq += 1
         record: Dict[str, Any] = {"event": event, "seq": self._seq}
         if t_us is not None:
@@ -127,70 +125,6 @@ class RunObserver:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-#: The currently installed observer; None disables the bus.
-_OBSERVER: Optional[RunObserver] = None
-
-
-def emit(
-    event: str,
-    t_us: Optional[float] = None,
-    node: Optional[int] = None,
-    **fields: Any,
-) -> None:
-    """Emit one protocol event onto the bus (no-op when tracing is off).
-
-    ``t_us`` is the event's *simulation*-time stamp; which clock it is
-    read from (true / adjusted / hardware) is fixed per event kind and
-    documented in the catalog. ``node`` is the acting station, if any.
-    """
-    observer = _OBSERVER
-    if observer is not None:
-        observer.record(event, t_us, node, fields)
-
-
-def observe_value(name: str, value: float, node: Optional[int] = None) -> None:
-    """Record a histogram observation (no-op when tracing is off)."""
-    observer = _OBSERVER
-    if observer is not None:
-        observer.observe_value(name, value, node=node)
-
-
-def current_observer() -> Optional[RunObserver]:
-    """The installed observer, or None."""
-    return _OBSERVER
-
-
-class observe_run:
-    """Context manager installing a :class:`RunObserver` on the bus.
-
-    ::
-
-        with observe_run("run.jsonl") as obs:
-            runner.run()
-        print(obs.registry.counter_total("events.guard_reject"))
-
-    The previous observer (normally None) is restored on exit and the
-    JSONL file is closed, including on exceptions. Implemented as a
-    class rather than ``@contextmanager`` so the observer is also
-    reachable as ``observe_run(...).observer`` in tests.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.observer = RunObserver(path=path)
-        self._previous: Optional[RunObserver] = None
-
-    def __enter__(self) -> RunObserver:
-        global _OBSERVER
-        self._previous = _OBSERVER
-        _OBSERVER = self.observer
-        return self.observer
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _OBSERVER
-        _OBSERVER = self._previous
-        self.observer.close()
 
 
 def read_events(path: str, validate: bool = False) -> Iterator[Dict[str, Any]]:

@@ -21,8 +21,8 @@ that keeps the carve-out safe is:
   span tree and Chrome trace) and nothing in the result path reads them;
 * profiling is pay-for-use: the sweep orchestrator builds a
   :class:`Profiler` only under ``--profile``, and the kernel-side
-  :func:`span` hook reads no clock unless :class:`profile_spans` has
-  installed one.
+  :func:`repro.obs.context.span` hook reads no clock unless
+  :func:`repro.obs.context.instrument` has installed a profiler.
 
 Span names are free-form; the orchestrator uses ``cache`` (result
 cache lookups and write-backs), ``engine`` (job execution, which for
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class _SpanSection:
@@ -224,53 +223,3 @@ class Profiler:
             json.dump(self.chrome_trace(), fh, sort_keys=True, indent=1)
             fh.write("\n")
         return path
-
-
-#: The installed profiler driving :func:`span`; None disables it.
-_SPAN_PROFILER: Optional[Profiler] = None
-
-#: The free span :func:`span` hands out when no profiler is installed
-#: (``nullcontext`` instances are reusable).
-_NO_SPAN: ContextManager[Any] = nullcontext()
-
-
-def span(name: str) -> ContextManager[Any]:
-    """A span on the installed profiler (free no-op section when off).
-
-    The kernel-side hook: runners open phase spans with ``with
-    span("multihop.receptions"):`` while never touching a clock
-    themselves — only this module reads ``time.perf_counter``, keeping
-    the reprolint D002 carve-out set unchanged.
-    """
-    profiler = _SPAN_PROFILER
-    if profiler is not None:
-        return profiler.span(name)
-    return _NO_SPAN
-
-
-class profile_spans:
-    """Context manager installing a fresh :class:`Profiler` for :func:`span`.
-
-    ::
-
-        with profile_spans() as profiler:
-            run_multihop(spec)
-        profiler.write_chrome_trace("trace.json")
-
-    The previous profiler (normally None) is restored on exit,
-    exceptions included.
-    """
-
-    def __init__(self) -> None:
-        self.profiler = Profiler()
-        self._previous: Optional[Profiler] = None
-
-    def __enter__(self) -> Profiler:
-        global _SPAN_PROFILER
-        self._previous = _SPAN_PROFILER
-        _SPAN_PROFILER = self.profiler
-        return self.profiler
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _SPAN_PROFILER
-        _SPAN_PROFILER = self._previous

@@ -30,34 +30,32 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Tuple
 
 from repro.argtypes import existing_file
+from repro.obs.context import instrument
 from repro.obs.counters import (
-    count_work,
+    WorkCounters,
     diff_counts,
     format_report,
     load_counts_json,
     write_counts_json,
 )
-from repro.obs.profile import profile_spans
+from repro.obs.profile import Profiler
 
 #: Where profile artifacts land unless ``--out-dir`` says otherwise.
 DEFAULT_OUT_DIR = os.path.join("results", "profile")
 
 
-def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Any]:
-    """``KEY=VALUE`` pairs to a params dict (JSON-coerced values)."""
-    params: Dict[str, Any] = {}
-    for pair in pairs or []:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"--param expects KEY=VALUE, got {pair!r}")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
+def _param(pair: str) -> Tuple[str, Any]:
+    """argparse type: one ``KEY=VALUE`` pair, the value JSON-coerced."""
+    key, sep, raw = pair.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {pair!r}")
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
 
 
 def _job_kind(kind: str) -> str:
@@ -75,17 +73,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sweep.jobs import execute_job
     from repro.sweep.spec import JobSpec
 
-    spec = JobSpec.make(
-        args.kind, _parse_params(args.param), root_seed=args.seed
-    )
+    spec = JobSpec.make(args.kind, dict(args.param or ()), root_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(
         args.out_dir, f"{spec.kind}-{spec.spec_hash()[:16]}{args.suffix}"
     )
 
-    with profile_spans() as profiler, count_work() as work:
-        with profiler.span("job"):
-            execute_job(spec)
+    profiler = Profiler()
+    work = WorkCounters()
+    with instrument(counters=work, spans=profiler), profiler.span("job"):
+        execute_job(spec)
 
     counters_path = write_counts_json(f"{base}.counters.json", work.snapshot())
     chrome_path = profiler.write_chrome_trace(f"{base}.chrome.json")
@@ -131,7 +128,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="registered job kind (e.g. multihop_run, scenario_trace)",
     )
     run_p.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
+        "--param", action="append", type=_param, metavar="KEY=VALUE",
         help="job parameter (repeatable; values JSON-coerced)",
     )
     run_p.add_argument(

@@ -39,7 +39,7 @@ from typing import (
 
 import numpy as np
 
-from repro.obs.counters import count
+from repro.obs.context import count
 from repro.phy.params import PhyParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

@@ -37,8 +37,7 @@ from repro.core.adjustment import (
 )
 from repro.core.config import SstspConfig
 from repro.network.ibss import ScenarioSpec, build_sstsp_network
-from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.context import count, emit
 from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
     SSTSP_BEACON_BYTES,

@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Any, Callable, List, Optional
 
-from repro.obs.counters import count
+from repro.obs.context import count
 
 
 class SimulationError(RuntimeError):

@@ -55,8 +55,9 @@ from typing import (
 )
 
 from repro.argtypes import non_negative_int, positive_float, positive_int
-from repro.obs.counters import count_work
-from repro.obs.events import observe_run
+from repro.obs.context import instrument
+from repro.obs.counters import WorkCounters
+from repro.obs.events import RunObserver
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -425,9 +426,10 @@ def _execute_observed(
     is always the successful attempt's — byte-identical to a first-try
     success."""
     path = _job_trace_path(trace_dir, spec)
-    with observe_run(path) as observer:
-        with count_work() as work:
-            value = execute_job(spec, attempt=attempt, inject=inject)
+    observer = RunObserver(path)
+    work = WorkCounters()
+    with instrument(trace=observer, counters=work):
+        value = execute_job(spec, attempt=attempt, inject=inject)
     metrics = observer.registry.snapshot()
     # Work counters ride in the metrics snapshot under ``work.``-prefixed
     # counter keys, so merge_snapshots rolls them into the sweep_end

@@ -12,6 +12,17 @@ from repro.crypto.mutesla import IntervalSchedule
 from repro.sim.rng import RngRegistry
 
 
+@pytest.fixture(autouse=True)
+def isolated_results(tmp_path_factory, monkeypatch) -> None:
+    """Send every test's CSVs, run logs and sweep cache to a fresh
+    temporary directory, so no test reads or writes the repo's own
+    ``results/`` (a warm cache there would turn a CLI test into a cache
+    hit that never runs the job code)."""
+    root = tmp_path_factory.mktemp("results")
+    monkeypatch.setenv("SSTSP_RESULTS_DIR", str(root))
+    monkeypatch.setenv("SSTSP_SWEEP_CACHE", str(root / "sweep-cache"))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

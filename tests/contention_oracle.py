@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mac.contention import ContentionResult, Transmission
-from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.context import count, emit
 
 
 def resolve_contention(

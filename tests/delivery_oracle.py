@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.obs.counters import count
+from repro.obs.context import count
 from repro.phy.channel import SpatialBroadcastChannel, WindowDelivery
 
 

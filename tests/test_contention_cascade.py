@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.fastlane.common import resolve_window
 from repro.mac.contention import resolve_contention
-from repro.obs import count_work, observe_run
+from repro.obs import RunObserver, WorkCounters, instrument
 from tests import contention_oracle as oracle
 
 AIR = 63.0  # SSTSP beacon: 7 slots
@@ -25,7 +25,8 @@ SLOT = 9.0
 
 
 def _observed(resolve, *args):
-    with observe_run() as obs, count_work() as work:
+    obs, work = RunObserver(), WorkCounters()
+    with instrument(trace=obs, counters=work):
         out = resolve(*args)
     return out, work.snapshot(), obs.events
 

@@ -25,7 +25,7 @@ from repro.multihop.runner import MultiHopSpec, degenerate_scenario, run_multiho
 from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec, build_network, build_sstsp_network
-from repro.obs import current_observer, observe_run
+from repro.obs import RunObserver, active, instrument
 
 #: The shared scenarios: (id, spec, relative tail tolerance).
 SCENARIOS = [
@@ -112,17 +112,19 @@ class TestTracingParity:
 
     def test_oo_lane_bit_identical_with_tracing(self, tmp_path):
         plain = build_network("sstsp", self.SPEC).run()
-        assert current_observer() is None
-        with observe_run(str(tmp_path / "oo.jsonl")) as obs:
+        assert active().trace is None
+        obs = RunObserver(str(tmp_path / "oo.jsonl"))
+        with instrument(trace=obs):
             traced = build_network("sstsp", self.SPEC).run()
-        assert current_observer() is None
+        assert active().trace is None
         _assert_bit_identical(plain.trace, traced.trace)
         assert plain.successful_beacons == traced.successful_beacons
         assert obs.event_count > 0, "instrumented run produced no events"
 
     def test_vec_lane_bit_identical_with_tracing(self):
         plain = run_sstsp_vectorized(self.SPEC)
-        with observe_run() as obs:
+        obs = RunObserver()
+        with instrument(trace=obs):
             traced = run_sstsp_vectorized(self.SPEC)
         _assert_bit_identical(plain.trace, traced.trace)
         assert obs.event_count > 0
@@ -132,7 +134,8 @@ class TestTracingParity:
             topology=Topology.chain(6), seed=3, duration_s=8.0
         )
         plain = run_multihop(spec)
-        with observe_run() as obs:
+        obs = RunObserver()
+        with instrument(trace=obs):
             traced = run_multihop(spec)
         _assert_bit_identical(plain.trace, traced.trace)
         assert plain.per_hop_error_us == traced.per_hop_error_us
@@ -144,7 +147,7 @@ class TestTracingParity:
         JSONL — the per-run guarantee behind the golden fixture."""
         paths = [str(tmp_path / f"run{i}.jsonl") for i in (1, 2)]
         for path in paths:
-            with observe_run(path):
+            with instrument(trace=RunObserver(path)):
                 build_network("sstsp", self.SPEC).run()
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()

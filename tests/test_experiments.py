@@ -1,6 +1,9 @@
 """Tests of the experiment harness: every paper table/figure regenerates
 with the right shape at quick scale, and the reporting helpers behave."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.metrics import TraceRecorder
@@ -87,39 +90,18 @@ class TestExperimentRuns:
 
 
 class TestCli:
-    def test_single_experiment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
-        monkeypatch.chdir(tmp_path)
-        # reload report module so RESULTS_DIR picks up the env var
-        import importlib
-
-        from repro.experiments import report
-
-        importlib.reload(report)
-        try:
-            assert cli_main(["overhead", "--quick"]) == 0
-            out = capsys.readouterr().out
-            assert "92" in out and "56" in out
-        finally:
-            monkeypatch.delenv("SSTSP_RESULTS_DIR")
-            importlib.reload(report)
+    def test_single_experiment(self, capsys):
+        assert cli_main(["overhead", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "92" in out and "56" in out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
 
-    def test_fig2_quick_writes_csv(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path / "r"))
-        import importlib
-
-        from repro.experiments import report
-
-        importlib.reload(report)
-        try:
-            assert cli_main(["fig2", "--quick", "--nodes", "40"]) == 0
-            out = capsys.readouterr().out
-            assert "steady-state error" in out
-            assert (tmp_path / "r" / "fig2_sstsp_n40_m4.csv").exists()
-        finally:
-            monkeypatch.delenv("SSTSP_RESULTS_DIR")
-            importlib.reload(report)  # restore default RESULTS_DIR
+    def test_fig2_quick_writes_csv(self, capsys):
+        assert cli_main(["fig2", "--quick", "--nodes", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "steady-state error" in out
+        results = Path(os.environ["SSTSP_RESULTS_DIR"])
+        assert (results / "fig2_sstsp_n40_m4.csv").exists()

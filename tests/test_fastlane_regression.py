@@ -7,7 +7,7 @@ departure and the whole 400-600 s attack window):
 
 * the SHA-256 of every trace array;
 * the SHA-256 of the event trace JSONL (every ``contention_win``);
-* the exact ``count_work()`` tallies;
+* the exact work-counter tallies;
 * the run's scalar outcomes.
 
 Any change to the contention cascade, the period loop or the trace
@@ -32,7 +32,7 @@ import pytest
 
 from repro.experiments.scenarios import PAPER_ATTACK, paper_spec
 from repro.fastlane import run_sstsp_vectorized, run_tsf_vectorized
-from repro.obs import count_work, observe_run
+from repro.obs import RunObserver, WorkCounters, instrument
 
 FIXTURE = Path(__file__).parent / "data" / "fastlane_paper300.json"
 
@@ -61,7 +61,8 @@ def lane_payload(lane: str, trace_path: Path) -> dict:
     """Run one lane on the pinned scenario and capture it exhaustively."""
     run, scalars = LANES[lane]
     spec = paper_spec(300, churn="paper", attacker=PAPER_ATTACK)
-    with observe_run(str(trace_path)), count_work() as work:
+    work = WorkCounters()
+    with instrument(trace=RunObserver(str(trace_path)), counters=work):
         result = run(spec)
     trace = result.trace
     return {

@@ -111,13 +111,13 @@ class TestProjectModel:
         assert method is not None and method.params[0].name == "true_us"
 
     def test_reexport_resolution_through_init(self):
-        events = build_module_info(
-            "obs/events.py", ast.parse("def emit(event, t_us=None):\n    pass\n")
+        context = build_module_info(
+            "obs/context.py", ast.parse("def emit(event, t_us=None):\n    pass\n")
         )
         init = build_module_info(
-            "obs/__init__.py", ast.parse("from repro.obs.events import emit\n")
+            "obs/__init__.py", ast.parse("from repro.obs.context import emit\n")
         )
-        project = ProjectModel([events, init])
+        project = ProjectModel([context, init])
         sig = project.resolve_function("repro.obs.emit")
         assert sig is not None and sig.qualname == "emit"
 
@@ -396,7 +396,7 @@ class TestE201UnknownEvent:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us):
                 emit("beacon_lost", t_us=t_us, node=1)
@@ -409,7 +409,7 @@ class TestE201UnknownEvent:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(name, t_us):
                 emit(name, t_us=t_us, node=1)
@@ -422,7 +422,7 @@ class TestE201UnknownEvent:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_us, threshold_us):
                 emit(
@@ -452,7 +452,7 @@ class TestE201UnknownEvent:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us):
                 emit("beacon_lost", t_us=t_us, node=1)  # reprolint: disable=E201 -- fixture
@@ -467,7 +467,7 @@ class TestE202MissingFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_us):
                 emit("guard_reject", t_us=t_us, node=1, diff_us=diff_us)
@@ -480,7 +480,7 @@ class TestE202MissingFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(diff_us, threshold_us):
                 emit("guard_reject", node=1, diff_us=diff_us, threshold_us=threshold_us)
@@ -493,7 +493,7 @@ class TestE202MissingFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, **payload):
                 emit("guard_reject", t_us=t_us, node=1, **payload)
@@ -506,7 +506,7 @@ class TestE202MissingFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, n):
                 emit("contention_win", t_us=t_us, node=1, contenders=n)
@@ -519,7 +519,7 @@ class TestE202MissingFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_us):
                 # reprolint: disable-next=E202
@@ -535,7 +535,7 @@ class TestE203UndeclaredFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_us, threshold_us):
                 emit(
@@ -555,7 +555,7 @@ class TestE203UndeclaredFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, samples, survivors, offset_us):
                 emit(
@@ -575,7 +575,7 @@ class TestE203UndeclaredFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, n, c):
                 emit("contention_win", t_us=t_us, node=1, contenders=n, collisions=c)
@@ -588,7 +588,7 @@ class TestE203UndeclaredFields:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_us, threshold_us):
                 # reprolint: disable-next=E203
@@ -604,7 +604,7 @@ class TestE204PayloadUnits:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us, diff_ms, threshold_us):
                 emit("guard_reject", t_us=t_us, node=1, diff_ms=diff_ms, threshold_us=threshold_us)
@@ -617,7 +617,7 @@ class TestE204PayloadUnits:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(local_s, diff_us, threshold_us):
                 emit("guard_reject", t_us=local_s, node=1, diff_us=diff_us, threshold_us=threshold_us)
@@ -630,7 +630,7 @@ class TestE204PayloadUnits:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(now_us, diff_us, threshold_us):
                 emit("guard_reject", t_us=now_us, node=1, diff_us=diff_us, threshold_us=threshold_us)
@@ -643,7 +643,7 @@ class TestE204PayloadUnits:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(local_s, diff_us, threshold_us):
                 # reprolint: disable-next=E204
@@ -896,7 +896,7 @@ class TestAcceptanceInjections:
             tmp_path,
             "repro/core/mod.py",
             """
-            from repro.obs.events import emit
+            from repro.obs.context import emit
 
             def f(t_us):
                 emit("beacon_dropped", t_us=t_us, node=3)

@@ -38,7 +38,7 @@ import numpy as np
 from repro.multihop.runner import MultiHopSpec, run_multihop
 from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
-from repro.obs import observe_run
+from repro.obs import RunObserver, instrument
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "multihop_refactor"
 
@@ -122,7 +122,7 @@ def result_payload(result) -> dict:
 def run_scenario(name: str, trace_path: str):
     """Run one pinned scenario with event tracing to ``trace_path``."""
     spec = parity_specs()[name]
-    with observe_run(trace_path):
+    with instrument(trace=RunObserver(trace_path)):
         result = run_multihop(spec)
     return result
 

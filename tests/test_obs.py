@@ -27,10 +27,10 @@ from repro.obs import (
     MetricsRegistry,
     Profiler,
     RunObserver,
-    current_observer,
+    active,
     emit,
+    instrument,
     merge_snapshots,
-    observe_run,
     observe_value,
     read_events,
 )
@@ -101,17 +101,18 @@ class TestMetricsRegistry:
 
 class TestEventBus:
     def test_disabled_bus_is_noop(self):
-        assert current_observer() is None
+        assert active().trace is None
         emit("beacon_tx", t_us=1.0, node=0)  # must not raise, record nothing
         observe_value("x", 1.0)
 
     def test_observer_records_and_counts(self):
-        with observe_run() as obs:
-            assert current_observer() is obs
+        obs = RunObserver()
+        with instrument(trace=obs):
+            assert active().trace is obs
             emit("guard_reject", t_us=10.0, node=2, diff_us=99.0)
             emit("coarse_done", node=2, samples=4)  # no t_us
             observe_value("guard.reject_excess_us", 7.0, node=2)
-        assert current_observer() is None
+        assert active().trace is None
         assert obs.event_count == 2
         assert [e["event"] for e in obs.events] == ["guard_reject", "coarse_done"]
         assert obs.events[0]["seq"] == 1 and obs.events[1]["seq"] == 2
@@ -123,34 +124,37 @@ class TestEventBus:
     def test_observer_restored_after_exception(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with pytest.raises(RuntimeError):
-            with observe_run(str(path)):
+            with instrument(trace=RunObserver(str(path))):
                 emit("beacon_tx", t_us=1.0, node=0)
                 raise RuntimeError("boom")
-        assert current_observer() is None
+        assert active().trace is None
         # the file was closed and flushed despite the exception
         records = list(read_events(str(path)))
         assert [r["event"] for r in records] == ["trace_header", "beacon_tx"]
 
     def test_nested_observers_restore_previous(self):
-        with observe_run() as outer:
+        outer = RunObserver()
+        with instrument(trace=outer):
             emit("beacon_tx", t_us=1.0, node=0)
-            with observe_run() as inner:
+            inner = RunObserver()
+            with instrument(trace=inner):
                 emit("beacon_rx", t_us=2.0, node=1)
-            assert current_observer() is outer
+            assert active().trace is outer
             emit("beacon_tx", t_us=3.0, node=0)
         assert [e["event"] for e in outer.events] == ["beacon_tx", "beacon_tx"]
         assert [e["event"] for e in inner.events] == ["beacon_rx"]
 
     def test_file_streaming_defaults_to_not_keeping_events(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with observe_run(str(path)) as obs:
+        obs = RunObserver(str(path))
+        with instrument(trace=obs):
             emit("beacon_tx", t_us=1.0, node=0)
         assert obs.events == []  # streamed, not retained
         assert obs.event_count == 1
 
     def test_header_and_sorted_keys(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with observe_run(str(path)):
+        with instrument(trace=RunObserver(str(path))):
             emit("beacon_rx", t_us=2.0, node=1, src=0, period=3)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
@@ -209,7 +213,7 @@ class TestSchemaStability:
         snippet in that doc.
         """
         path = tmp_path / "run.jsonl"
-        with observe_run(str(path)):
+        with instrument(trace=RunObserver(str(path))):
             build_sstsp_network(GOLDEN_SPEC).run()
         assert path.read_bytes() == GOLDEN.read_bytes()
 

@@ -26,21 +26,17 @@ from repro.fastlane import run_sstsp_vectorized
 from repro.multihop.runner import MultiHopSpec, run_multihop
 from repro.multihop.topology import Topology
 from repro.network.ibss import ScenarioSpec, build_network
-from repro.obs import observe_run
+from repro.obs import RunObserver, active, count, instrument, span, work_lane
 from repro.obs.counters import (
     WorkCounters,
-    count,
-    count_work,
-    current_counters,
     diff_counts,
     format_report,
     load_counts_json,
     merge_counts,
-    work_lane,
     write_counts_json,
 )
 from repro.experiments.cli import main
-from repro.obs.profile import Profiler, profile_spans, span
+from repro.obs.profile import Profiler
 from repro.sweep import JobSpec, SweepOptions, run_sweep
 
 SPEC = ScenarioSpec(n=10, seed=4, duration_s=10.0)
@@ -67,23 +63,25 @@ def _assert_bit_identical(a, b):
 
 class TestWorkCountersApi:
     def test_disabled_count_is_a_noop(self):
-        assert current_counters() is None
+        assert active().counters is None
         count("engine.heap_push")  # must not raise, must not record
         count("engine.heap_push", 100)
-        assert current_counters() is None
+        assert active().counters is None
 
-    def test_count_work_installs_and_restores_the_sink(self):
-        with count_work() as work:
-            assert current_counters() is work
+    def test_instrument_installs_and_restores_the_sink(self):
+        work = WorkCounters()
+        with instrument(counters=work):
+            assert active().counters is work
             count("a")
             count("a", 2)
             count("b", 5)
-        assert current_counters() is None
+        assert active().counters is None
         count("a")  # after exit: not recorded
         assert work.snapshot() == {"a": 3, "b": 5}
 
     def test_lanes_nest_and_the_innermost_owns_the_work(self):
-        with count_work() as work:
+        work = WorkCounters()
+        with instrument(counters=work):
             count("outside")
             with work_lane("multihop/coop"):
                 count("phy.per_draw")
@@ -101,7 +99,7 @@ class TestWorkCountersApi:
     def test_work_lane_without_a_sink_is_a_noop(self):
         with work_lane("fastlane/sstsp"):
             count("phy.per_draw")
-        assert current_counters() is None
+        assert active().counters is None
 
     def test_merge_diff_metrics_and_report(self):
         total = merge_counts({"a": 1}, {"a": 2, "b": 3})
@@ -134,7 +132,8 @@ class TestCountingParity:
 
     def test_oo_lane_bit_identical_with_counting(self):
         plain = build_network("sstsp", SPEC).run()
-        with count_work() as work:
+        work = WorkCounters()
+        with instrument(counters=work):
             counted = build_network("sstsp", SPEC).run()
         _assert_bit_identical(plain.trace, counted.trace)
         assert plain.successful_beacons == counted.successful_beacons
@@ -146,7 +145,8 @@ class TestCountingParity:
 
     def test_vec_lane_bit_identical_with_counting(self):
         plain = run_sstsp_vectorized(SPEC)
-        with count_work() as work:
+        work = WorkCounters()
+        with instrument(counters=work):
             counted = run_sstsp_vectorized(SPEC)
         _assert_bit_identical(plain.trace, counted.trace)
         snapshot = work.snapshot()
@@ -156,7 +156,8 @@ class TestCountingParity:
 
     def test_multihop_lane_bit_identical_with_counting(self):
         plain = run_multihop(MH_SPEC)
-        with count_work() as work:
+        work = WorkCounters()
+        with instrument(counters=work):
             counted = run_multihop(MH_SPEC)
         _assert_bit_identical(plain.trace, counted.trace)
         assert plain.per_hop_error_us == counted.per_hop_error_us
@@ -166,9 +167,11 @@ class TestCountingParity:
         assert all(key.startswith("multihop/sstsp/") for key in snapshot)
 
     def test_tally_identical_with_tracing_on_and_off(self):
-        with count_work() as bare:
+        bare = WorkCounters()
+        with instrument(counters=bare):
             run_multihop(MH_SPEC)
-        with count_work() as traced, observe_run() as obs:
+        traced, obs = WorkCounters(), RunObserver()
+        with instrument(counters=traced, trace=obs):
             run_multihop(MH_SPEC)
         assert obs.event_count > 0
         assert bare.snapshot() == traced.snapshot()
@@ -176,7 +179,8 @@ class TestCountingParity:
     def test_repeated_tallies_are_byte_identical(self):
         snapshots = []
         for _ in range(2):
-            with count_work() as work:
+            work = WorkCounters()
+            with instrument(counters=work):
                 run_sstsp_vectorized(SPEC)
             snapshots.append(
                 json.dumps(work.snapshot(), sort_keys=True)
@@ -317,10 +321,12 @@ class TestSpanProfiler:
     def test_free_span_is_a_noop_until_installed(self):
         with span("anything"):
             pass  # no profiler installed: must not record or raise
-        with profile_spans() as profiler:
+        profiler = Profiler()
+        with instrument(spans=profiler):
             with span("phase"):
                 pass
-            with profile_spans() as inner:
+            inner = Profiler()
+            with instrument(spans=inner):
                 with span("nested"):
                     pass
             with span("phase"):
@@ -331,7 +337,8 @@ class TestSpanProfiler:
         assert inner.counts() == {"nested": 1}
 
     def test_runner_spans_reach_the_installed_profiler(self):
-        with profile_spans() as profiler:
+        profiler = Profiler()
+        with instrument(spans=profiler):
             run_multihop(MH_SPEC)
         counts = profiler.counts()
         assert counts["multihop.period"] > 0
@@ -415,6 +422,12 @@ class TestProfileCli:
         err = capsys.readouterr().err
         assert "unknown job kind 'no_such_kind'" in err
         assert "multihop_run" in err  # names the known kinds
+
+    def test_param_without_equals_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "run", "multihop_run", "--param", "topology"])
+        assert excinfo.value.code == 2
+        assert "expected KEY=VALUE, got 'topology'" in capsys.readouterr().err
 
     def test_diff_of_a_missing_file_is_a_usage_error(self, tmp_path, capsys):
         present = write_counts_json(str(tmp_path / "x.json"), {"a": 1})

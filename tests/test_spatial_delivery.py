@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
-from repro.obs import count_work
+from repro.obs import WorkCounters, instrument
 from repro.phy.channel import SpatialBroadcastChannel
 from repro.phy.params import PhyParams
 from tests import delivery_oracle as oracle
@@ -76,7 +76,8 @@ def _run(scenario: Scenario, deliver):
 
     outcomes = []
     states = []
-    with count_work() as work:
+    work = WorkCounters()
+    with instrument(counters=work):
         for transmissions, receivers in scenario.windows:
             delivery = deliver(
                 channel,
@@ -522,7 +523,8 @@ def test_same_hop_snapshot_matches_brute_force_when_thinned():
 def test_same_hop_snapshot_counts_two_hop_index_entries():
     topology = Topology.grid(4, 4)
     spec = MultiHopSpec(topology=topology, seed=1, duration_s=2.0)
-    with count_work() as work:
+    work = WorkCounters()
+    with instrument(counters=work):
         MultiHopRunner(spec).run()
     visits = work.snapshot()["multihop/sstsp/mac.two_hop_visit"]
     entries = sum(len(topology.two_hop_neighbors(i)) for i in range(topology.n))
