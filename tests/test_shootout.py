@@ -1,6 +1,9 @@
 """The standing multi-hop shootout: grid construction, the convergence
 metric, CSV rendering, the analyze roll-up, and parallel determinism."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.analysis.cli import (
     shootout_summary_csv_text,
     shootout_summary_md_text,
 )
+from repro.experiments.cli import main as cli_main
 from repro.experiments.shootout import (
     CONVERGENCE_THRESHOLD_US,
     convergence_time_s,
@@ -17,6 +21,8 @@ from repro.experiments.shootout import (
     shootout_specs,
 )
 from repro.sweep import SweepOptions
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "shootout_quick" / "golden_shootout.csv"
 
 MINI_SCENARIOS = (
     {"name": "mini", "topology": "chain", "n": 5, "duration_s": 4.0, "seed": 3},
@@ -178,3 +184,10 @@ class TestParallelDeterminism:
         )
         assert rows_to_csv(serial) == rows_to_csv(parallel)
         assert [r["protocol"] for r in serial] == ["sstsp", "beaconless", "coop"]
+
+
+class TestGoldenCsv:
+    def test_quick_cli_writes_the_golden_bytes(self, capsys):
+        assert cli_main(["shootout", "--quick", "--workers", "1", "--no-cache"]) == 0
+        written = Path(os.environ["SSTSP_RESULTS_DIR"]) / "shootout.csv"
+        assert written.read_bytes() == GOLDEN_CSV.read_bytes()
