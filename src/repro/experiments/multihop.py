@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.sweep import (
     run_sweep,
     sweep_options_from_args,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the runner imports lazily
+    from repro.multihop.runner import MultiHopResult, MultiHopSpec
 
 #: The default scenario grid: one row per topology shape the multi-hop
 #: tests and benchmarks exercise. ``duration_s`` values keep a cold serial
@@ -98,21 +101,27 @@ def _build_topology(params: Mapping[str, Any], job: JobSpec):
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
-def job_multihop_run(job: JobSpec) -> Dict[str, Any]:
-    """Execute one multi-hop scenario; returns a flat, picklable payload."""
+def run_scenario(job: JobSpec) -> Tuple[Dict[str, Any], "MultiHopSpec", "MultiHopResult"]:
+    """Build the topology and :class:`~repro.multihop.runner.MultiHopSpec`
+    from ``job``'s flat params and run it: ``(params, spec, result)``.
+    Shared by the ``multihop_run`` and ``shootout_run`` jobs."""
     from repro.multihop.runner import MultiHopSpec, run_multihop
 
     params = job.params_dict()
-    topology = _build_topology(params, job)
     overrides = {
         key: params[key] for key in _SPEC_PASSTHROUGH if key in params
     }
-    spec = MultiHopSpec(topology=topology, **overrides)
-    result = run_multihop(spec)
+    spec = MultiHopSpec(topology=_build_topology(params, job), **overrides)
+    return params, spec, run_multihop(spec)
+
+
+def job_multihop_run(job: JobSpec) -> Dict[str, Any]:
+    """Execute one multi-hop scenario; returns a flat, picklable payload."""
+    params, spec, result = run_scenario(job)
     trace = result.trace
     return {
         "name": params.get("name", job.kind),
-        "nodes": topology.n,
+        "nodes": spec.topology.n,
         "root": result.root,
         "root_changes": result.root_changes,
         "beacons_sent": result.beacons_sent,

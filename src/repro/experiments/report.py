@@ -15,21 +15,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.metrics import SyncTrace
+from repro.paths import results_path
 from repro.sim.units import S
 
-#: Default output directory for CSV series when ``SSTSP_RESULTS_DIR``
-#: is unset.
-RESULTS_DIR = "results"
-
-
 def ensure_results_dir() -> str:
-    """Create (if needed) and return the CSV output directory.
-
-    ``SSTSP_RESULTS_DIR`` is resolved at call time, not import time, so
-    tests and one-off runs can redirect output without reloading the
-    module.
-    """
-    root = os.environ.get("SSTSP_RESULTS_DIR", RESULTS_DIR)
+    """Create (if needed) and return the results root
+    (:func:`repro.paths.results_path`), where CSV series go."""
+    root = results_path()
     os.makedirs(root, exist_ok=True)
     return root
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.argtypes import positive_int
-from repro.experiments.multihop import DEFAULT_SCENARIOS
+from repro.experiments.multihop import DEFAULT_SCENARIOS, run_scenario
 from repro.experiments.report import ensure_results_dir, format_table
 from repro.sweep import (
     JobSpec,
@@ -81,23 +81,14 @@ def convergence_time_s(
 def job_shootout_run(job: JobSpec) -> Dict[str, Any]:
     """Execute one (protocol, scenario, replica) cell.
 
-    Mirrors :func:`repro.experiments.multihop.job_multihop_run` (the
+    Runs through :func:`repro.experiments.multihop.run_scenario` (the
     ``protocol`` param rides through ``_SPEC_PASSTHROUGH`` into
-    ``MultiHopSpec``) but keeps the result object in hand so the overhead
+    ``MultiHopSpec``) and keeps the result object in hand so the overhead
     and convergence columns come from the same run — nothing re-executes.
     """
-    from repro.multihop.runner import MultiHopSpec, run_multihop
     from repro.protocols.multihop_base import resolve_multihop_protocol
 
-    from repro.experiments.multihop import _SPEC_PASSTHROUGH, _build_topology
-
-    params = job.params_dict()
-    topology = _build_topology(params, job)
-    overrides = {
-        key: params[key] for key in _SPEC_PASSTHROUGH if key in params
-    }
-    spec = MultiHopSpec(topology=topology, **overrides)
-    result = run_multihop(spec)
+    params, spec, result = run_scenario(job)
     trace = result.trace
     protocol_cls = resolve_multihop_protocol(spec.protocol)
     per_hop = dict(result.per_hop_error_us)
@@ -110,7 +101,7 @@ def job_shootout_run(job: JobSpec) -> Dict[str, Any]:
         "scenario": params.get("name", job.kind),
         "replica": int(params.get("replica", 0)),
         "seed": spec.seed,
-        "nodes": topology.n,
+        "nodes": spec.topology.n,
         "max_hop": result.max_hop(),
         "final_present": int(trace.present_counts[-1]) if len(trace) else 0,
         "root_changes": result.root_changes,

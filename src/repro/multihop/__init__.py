@@ -5,7 +5,7 @@ multi-hop ad hoc networks." This package is that extension, designed to
 stay within the paper's own mechanics:
 
 * the network is a general radio topology (:mod:`repro.multihop.topology`,
-  unit-disk / grid / chain builders over ``networkx``);
+  unit-disk / grid / chain builders over one adjacency list);
 * one *root* reference is elected exactly as in single-hop SSTSP;
 * synchronized nodes *relay*: each BP, a node at hop distance ``h`` from
   the root may rebroadcast a secure beacon carrying its own adjusted

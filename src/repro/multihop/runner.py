@@ -49,7 +49,6 @@ decisions exactly (see ``tests/test_differential_parity.py``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -59,11 +58,9 @@ from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.clocks.adjusted import AdjustedClock
 from repro.clocks.chain import ClockChain
 from repro.clocks.population import ClockPopulation
-from repro.core.config import SstspConfig
 from repro.mac.contention import resolve_neighborhood
 from repro.multihop.topology import Topology
 from repro.network.churn import ChurnApplier, ChurnEvent, ChurnSchedule
-from repro.network.ibss import ScenarioSpec
 from repro.network.node import Node
 from repro.network.runner import NetworkRunner, RunnerParams
 from repro.obs.context import active, count, emit, span, work_lane
@@ -204,14 +201,17 @@ class MultiHopResult:
         return max(self.hop_of.values()) if self.hop_of else 0
 
 
-def degenerate_scenario(spec: MultiHopSpec) -> Tuple[ScenarioSpec, SstspConfig]:
-    """Translate a complete-graph multi-hop spec to the single-hop SSTSP
-    lane (kept as a module function for the differential-parity tests;
-    the translation itself lives on the protocol —
-    :meth:`~repro.protocols.multihop_sstsp.SstspRelayProtocol.single_hop_lane`)."""
-    from repro.protocols.multihop_sstsp import SstspRelayProtocol
-
-    return SstspRelayProtocol.single_hop_lane(spec)
+def _per_hop_median(hops: np.ndarray, errors: np.ndarray) -> Dict[int, float]:
+    """Median absolute error per hop over paired ``(hop, error vs root)``
+    samples. The root (hop 0), unreachable stations (hop -1) and NaN
+    errors (absent stations) drop."""
+    keep = (hops > 0) & ~np.isnan(errors)
+    hops = hops[keep]
+    errors = np.abs(errors[keep])
+    return {
+        hop: float(np.median(errors[hops == hop]))
+        for hop in np.unique(hops).tolist()
+    }
 
 
 class MultiHopRunner:
@@ -325,13 +325,10 @@ class MultiHopRunner:
                 self._run_period(period)
         per_hop: Dict[int, float] = {}
         if self._hop_samples:
-            hops = np.concatenate([sample[0] for sample in self._hop_samples])
-            errors = np.concatenate([sample[1] for sample in self._hop_samples])
-            below = hops > 0  # the root itself and unreachable stations drop
-            hops = hops[below]
-            errors = np.abs(errors[below])
-            for hop in np.unique(hops).tolist():
-                per_hop[hop] = float(np.median(errors[hops == hop]))
+            per_hop = _per_hop_median(
+                np.concatenate([sample[0] for sample in self._hop_samples]),
+                np.concatenate([sample[1] for sample in self._hop_samples]),
+            )
         hop_of = (
             spec.topology.hop_distances(self.root) if self.root >= 0 else {}
         )
@@ -408,33 +405,19 @@ class MultiHopRunner:
         hop_of = (
             spec.topology.hop_distances(final_root) if final_root >= 0 else {}
         )
-        per_hop_samples: Dict[int, List[float]] = {}
+        per_hop: Dict[int, float] = {}
         if trace.values_us is not None and final_root >= 0:
+            # every station against the period's reference, second half
+            # of the run only (mirrors the spatial sampler)
             half = spec.periods // 2
-            for idx in range(len(trace)):
-                if idx + 1 <= half:  # mirror "period > periods // 2"
-                    continue
-                rid = int(ref_ids[idx])
-                if rid < 0:
-                    continue
-                row = trace.values_us[idx]
-                root_value = row[rid]
-                if math.isnan(root_value):
-                    continue
-                for col in range(row.shape[0]):
-                    hop = hop_of.get(col)
-                    if hop is None or hop == 0:
-                        continue
-                    value = row[col]
-                    if math.isnan(value):
-                        continue
-                    per_hop_samples.setdefault(hop, []).append(
-                        abs(value - root_value)
-                    )
-        per_hop = {
-            hop: float(np.median(values))
-            for hop, values in sorted(per_hop_samples.items())
-        }
+            refs = ref_ids[half:]
+            rows = trace.values_us[half:][refs >= 0]
+            refs = refs[refs >= 0]
+            errors = rows - rows[np.arange(len(refs)), refs][:, None]
+            hops = np.broadcast_to(
+                spec.topology.hop_array(final_root), errors.shape
+            )
+            per_hop = _per_hop_median(hops, errors)
         self.root = final_root
         self.root_changes = trace.reference_changes()
         self.beacons_sent = result.successful_beacons

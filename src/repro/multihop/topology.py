@@ -8,22 +8,33 @@ regular grids, and worst-case chains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import combinations
+from numbers import Integral
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 
 class Topology:
-    """Undirected connectivity graph over station ids ``0..n-1``."""
+    """Undirected connectivity graph over station ids ``0..n-1``, given
+    as ``n`` and an iterable of ``(u, v)`` links (duplicates merge)."""
 
-    def __init__(self, graph: nx.Graph) -> None:
-        expected = set(range(graph.number_of_nodes()))
-        if set(graph.nodes) != expected:
-            raise ValueError("topology nodes must be 0..n-1")
-        self._graph = graph
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError("a topology needs n >= 0 stations")
+        adjacency: List[Set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            if u == v or not all(
+                isinstance(node, Integral) and 0 <= node < n for node in (u, v)
+            ):
+                raise ValueError(
+                    f"link {(u, v)!r} must join two distinct stations in 0..n-1"
+                )
+            adjacency[u].add(int(v))
+            adjacency[v].add(int(u))
+        #: The one adjacency: sorted neighbour tuples, indexed by station.
         self._neighbors: List[Tuple[int, ...]] = [
-            tuple(sorted(graph.neighbors(i))) for i in range(len(expected))
+            tuple(sorted(row)) for row in adjacency
         ]
         # Query caches, filled on first use (construction stays cheap).
         self._hop_cache: Dict[int, Dict[int, int]] = {}
@@ -39,33 +50,29 @@ class Topology:
     @classmethod
     def full_mesh(cls, n: int) -> "Topology":
         """Single-hop IBSS as a degenerate case (every pair connected)."""
-        return cls(nx.complete_graph(n))
+        return cls(n, combinations(range(n), 2))
 
     @classmethod
     def chain(cls, n: int) -> "Topology":
         """Worst-case diameter: a line of ``n`` stations."""
-        return cls(nx.path_graph(n))
+        return cls(n, ((i, i + 1) for i in range(n - 1)))
 
     @classmethod
     def grid(cls, rows: int, cols: int, diagonal: bool = False) -> "Topology":
         """``rows x cols`` lattice; ``diagonal`` adds 8-connectivity."""
-        graph = nx.Graph()
-        def idx(r, c):
-            return r * cols + c
+        edges: List[Tuple[int, int]] = []
         for r in range(rows):
             for c in range(cols):
-                graph.add_node(idx(r, c))
-        for r in range(rows):
-            for c in range(cols):
+                node = r * cols + c
                 if c + 1 < cols:
-                    graph.add_edge(idx(r, c), idx(r, c + 1))
+                    edges.append((node, node + 1))
                 if r + 1 < rows:
-                    graph.add_edge(idx(r, c), idx(r + 1, c))
+                    edges.append((node, node + cols))
                 if diagonal and r + 1 < rows and c + 1 < cols:
-                    graph.add_edge(idx(r, c), idx(r + 1, c + 1))
+                    edges.append((node, node + cols + 1))
                 if diagonal and r + 1 < rows and c - 1 >= 0:
-                    graph.add_edge(idx(r, c), idx(r + 1, c - 1))
-        return cls(graph)
+                    edges.append((node, node + cols - 1))
+        return cls(rows * cols, edges)
 
     @classmethod
     def unit_disk(
@@ -82,15 +89,14 @@ class Topology:
         graph is connected (if required)."""
         for _ in range(max_attempts):
             positions = rng.uniform(0.0, area_m, size=(n, 2))
-            graph = nx.Graph()
-            graph.add_nodes_from(range(n))
+            edges: List[Tuple[int, int]] = []
             for i in range(n):
                 deltas = positions[i + 1 :] - positions[i]
                 dists = np.hypot(deltas[:, 0], deltas[:, 1])
                 for j in np.flatnonzero(dists <= radius_m):
-                    graph.add_edge(i, int(i + 1 + j))
-            if not require_connected or nx.is_connected(graph):
-                topology = cls(graph)
+                    edges.append((i, int(i + 1 + j)))
+            topology = cls(n, edges)
+            if not require_connected or topology.is_connected():
                 topology.positions = positions  # type: ignore[attr-defined]
                 return topology
         raise RuntimeError(
@@ -123,11 +129,32 @@ class Topology:
 
     def is_connected(self) -> bool:
         """Whether every station can reach every other."""
-        return nx.is_connected(self._graph)
+        return self.n > 0 and len(self._bfs(0)) == self.n
 
     def diameter(self) -> int:
         """Longest shortest-path hop count in the graph."""
-        return nx.diameter(self._graph)
+        if not self.is_connected():
+            raise ValueError("a disconnected topology has no finite diameter")
+        return max(max(self._bfs(root).values()) for root in range(self.n))
+
+    def _bfs(self, root: int) -> Dict[int, int]:
+        """Hop distance from ``root`` to every reachable station, in BFS
+        order (uncached)."""
+        if not 0 <= root < self.n:
+            raise ValueError(f"root {root} is not a station of this topology")
+        hops = {root: 0}
+        frontier = [root]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for node in frontier:
+                for neighbor in self._neighbors[node]:
+                    if neighbor not in hops:
+                        hops[neighbor] = depth
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
 
     def hop_distances(self, root: int) -> Dict[int, int]:
         """BFS hop distance from ``root`` to every reachable station.
@@ -136,7 +163,7 @@ class Topology:
         mutating its copy cannot corrupt later calls."""
         cached = self._hop_cache.get(root)
         if cached is None:
-            cached = dict(nx.single_source_shortest_path_length(self._graph, root))
+            cached = self._bfs(root)
             self._hop_cache[root] = cached
         return dict(cached)
 
@@ -199,12 +226,17 @@ class Topology:
             self._two_hop_index = (nodes, others)
         return self._two_hop_index
 
-    def edges(self) -> Iterable[Tuple[int, int]]:
-        """Iterate over the radio links."""
-        return self._graph.edges()
+    def edges(self) -> List[Tuple[int, int]]:
+        """The radio links as ``(u, v)`` pairs with ``u < v``, sorted."""
+        return [
+            (u, v)
+            for u, row in enumerate(self._neighbors)
+            for v in row
+            if u < v
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Topology(n={self.n}, edges={self._graph.number_of_edges()}, "
+            f"Topology(n={self.n}, edges={len(self.edges())}, "
             f"connected={self.is_connected()})"
         )

@@ -42,9 +42,7 @@ from repro.obs.counters import (
     write_counts_json,
 )
 from repro.obs.profile import Profiler
-
-#: Where profile artifacts land unless ``--out-dir`` says otherwise.
-DEFAULT_OUT_DIR = os.path.join("results", "profile")
+from repro.paths import results_path
 
 
 def _param(pair: str) -> Tuple[str, Any]:
@@ -74,9 +72,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sweep.spec import JobSpec
 
     spec = JobSpec.make(args.kind, dict(args.param or ()), root_seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    out_dir = args.out_dir or results_path("profile")
+    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(
-        args.out_dir, f"{spec.kind}-{spec.spec_hash()[:16]}{args.suffix}"
+        out_dir, f"{spec.kind}-{spec.spec_hash()[:16]}{args.suffix}"
     )
 
     profiler = Profiler()
@@ -135,8 +134,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0, help="root seed (default 0)"
     )
     run_p.add_argument(
-        "--out-dir", default=DEFAULT_OUT_DIR,
-        help=f"artifact directory (default {DEFAULT_OUT_DIR})",
+        "--out-dir", default=None,
+        help="artifact directory (default: profile/ under $SSTSP_RESULTS_DIR, "
+        "else results/profile)",
     )
     run_p.add_argument(
         "--suffix", default="",

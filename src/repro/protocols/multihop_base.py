@@ -31,6 +31,24 @@ order each beacon period, for nodes in ascending id order:
    :meth:`MultiHopProtocol.on_elected_root` — the orphan-election
    hooks, consulted only while the network has no root.
 
+The relay skeleton every scheme shares is defined here, once: the TX
+schedule (root at 0, orphaned first-hop stations in segment 0,
+synchronized relays backing off inside segment ``h``), the frame, and
+the silence policy (count silent periods, drop the upstream, then
+resync). A scheme supplies only its private hooks:
+
+* :meth:`MultiHopProtocol._relay_turn` — whether a synchronized relay
+  transmits this period (default: every period, thinned by
+  ``relay_probability``);
+* :meth:`MultiHopProtocol.on_receptions` — its estimator, built from the
+  reception helpers :meth:`~MultiHopProtocol._choose_upstream` (sticky
+  best-hop upstream), :meth:`~MultiHopProtocol._observe` (one
+  ``(hw, est)`` sample per frame) and :meth:`~MultiHopProtocol._join`
+  (first-contact alignment);
+* :meth:`MultiHopProtocol._drop_upstream` and
+  :meth:`MultiHopProtocol.reset_sync` — extended to clear the scheme's
+  own estimator state.
+
 Synchronized time must be expressed through the station's
 :class:`~repro.clocks.chain.ClockChain` (mutating or replacing
 ``chain.adjusted``): the harness samples every station through the
@@ -159,10 +177,11 @@ class MultiHopContext:
 class MultiHopProtocol(ABC):
     """Per-station multi-hop synchronization driver.
 
-    Subclasses implement the four period hooks; the common state every
-    scheme needs (hop distance, upstream, silence streak, the clock
-    chain) lives here so the harness, tests and chaos audits can treat
-    any protocol uniformly.
+    The period hooks and the common state every scheme needs (hop
+    distance, upstream, silence streak, the clock chain) live here, so
+    the harness, tests and chaos audits treat any protocol uniformly;
+    subclasses implement :meth:`on_receptions` and override the private
+    hooks listed in the module docstring.
     """
 
     #: Short identifier carried in trace events (``beacon_tx`` ``proto``
@@ -215,8 +234,8 @@ class MultiHopProtocol(ABC):
 
     def reset_sync(self) -> None:
         """Discard synchronization state; re-acquire from the next beacon."""
+        self._drop_upstream()
         self.hop = None
-        self.upstream = None
         self.silent = 0
 
     def synchronized_time(self, hw_time: float) -> float:
@@ -242,17 +261,52 @@ class MultiHopProtocol(ABC):
     # Period hooks
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
         """TX intent: the delay (µs after the nominal period start, on
         this station's synchronized clock) at which it transmits this
         period, or ``None`` to stay quiet."""
+        spec = self.spec
+        if self.node_id == ctx.root:
+            return 0.0
+        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
+            # orphaned children of a departed root: contend in segment 0
+            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
+            return slot * spec.slot_time_us
+        if (
+            self.hop is not None
+            and self.hop >= 1
+            and self.adjustments >= 1
+            and self._relay_turn(period, ctx)
+        ):
+            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
+            return (self.hop * spec.hop_stride_slots + slot) * spec.slot_time_us
+        return None
 
-    @abstractmethod
+    def _backoff_range(self) -> int:
+        """Backoff slots usable inside a hop segment without bleeding the
+        transmission into the next segment."""
+        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+
     def make_frame(
         self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
     ) -> MultiHopFrame:
         """The frame for a transmission :meth:`begin_period` scheduled."""
+        # normalized reference: the sender's clock reads exactly
+        # nominal + delay at tx, so its T^j estimate is ``nominal``
+        nominal = period * self.spec.beacon_period_us
+        hop = (
+            0
+            if self.node_id == ctx.root
+            else (self.hop if self.hop is not None else 0)
+        )
+        return MultiHopFrame(
+            sender=self.node_id,
+            hop=hop,
+            interval=period,
+            tx_true=tx_true,
+            timestamp=nominal,
+            delay_us=delay_us,
+        )
 
     @abstractmethod
     def on_receptions(
@@ -263,10 +317,88 @@ class MultiHopProtocol(ABC):
         whether a frame was *accepted* — decoded, fresh and
         plausibility-passing — which feeds silence tracking."""
 
-    @abstractmethod
     def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
         """Silence bookkeeping; runs for every present non-root station
         after receptions settle."""
+        spec = self.spec
+        if accepted:
+            return
+        self.silent += 1
+        if self.silent > 4 * spec.l and self.upstream is not None:
+            # upstream lost: detach and re-acquire from any beacon
+            self._drop_upstream()
+        if self.silent > spec.resync_after_periods and self.hop is not None:
+            # nothing acceptable heard for a long stretch: this
+            # clock has diverged beyond the guard - start over
+            self.reset_sync()
+
+    # ------------------------------------------------------------------
+    # Scheme hooks
+    # ------------------------------------------------------------------
+
+    def _relay_turn(self, period: int, ctx: MultiHopContext) -> bool:
+        """Whether a synchronized relay transmits this period: every
+        period, thinned by ``relay_probability`` (one slot-RNG draw only
+        when thinning is on)."""
+        probability = self.spec.relay_probability
+        return probability >= 1.0 or ctx.slot_rng.random() < probability
+
+    def _drop_upstream(self) -> None:
+        """Forget the silent upstream (and anything estimated from it)."""
+        self.upstream = None
+
+    # ------------------------------------------------------------------
+    # Reception helpers
+    # ------------------------------------------------------------------
+
+    def _choose_upstream(
+        self, decoded: List[MultiHopFrame]
+    ) -> Optional[MultiHopFrame]:
+        """The frame to synchronize to, or ``None`` to wait.
+
+        Sorts ``decoded`` by (hop, transmission time). The current
+        upstream is sticky whenever its beacon decoded (switching resets
+        the estimator's history); a strictly better hop re-hangs the
+        station; while the upstream is quiet the station waits up to
+        ``2 l`` silent periods before taking the best frame heard."""
+        decoded.sort(key=lambda tx: (tx.hop, tx.tx_true))
+        best = decoded[0]
+        current = next(
+            (tx for tx in decoded if tx.sender == self.upstream), None
+        )
+        if current is not None and best.hop >= current.hop:
+            return current
+        if (
+            current is not None
+            or self.upstream is None
+            or self.silent >= 2 * self.spec.l
+        ):
+            return best
+        return None  # upstream not heard this period; stay patient
+
+    def _observe(
+        self, tx: MultiHopFrame, ctx: MultiHopContext
+    ) -> Tuple[float, float]:
+        """One ``(hw, est)`` sample from ``tx``: this station's hardware
+        time and the sender's time estimate, both at the sender's period
+        start. The sender's deterministic schedule delay is normalised
+        out of the reception time (see :class:`MultiHopFrame`), and one
+        timestamp-jitter draw is added to the estimate."""
+        arrival = tx.tx_true + ctx.rx_latency_us
+        jitter = ctx.sample_timestamp_error()
+        hw = self.chain.hw.read(arrival) - tx.delay_us
+        est = tx.timestamp + ctx.rx_latency_us + jitter
+        return hw, est
+
+    def _join(self, hop: int, hw: float, est: float) -> None:
+        """First contact: attach at ``hop`` and align the adjusted clock's
+        offset so it reads ``est`` at ``hw`` (keeping its rate)."""
+        local = self.clock.read_current(hw)
+        self.chain.adjusted = AdjustedClock(
+            self.clock.k, self.clock.b + (est - local)
+        )
+        self.hop = hop
+        self.silent = 0
 
     # ------------------------------------------------------------------
     # Orphan election

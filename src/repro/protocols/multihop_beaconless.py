@@ -29,9 +29,9 @@ one beacon period ahead — so the clock never steps and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.clocks.adjusted import AdjustedClock, MonotonicityError
+from repro.clocks.adjusted import MonotonicityError
 from repro.clocks.chain import ClockChain
 from repro.phy.params import (
     BEACONLESS_BEACON_AIRTIME_SLOTS,
@@ -69,51 +69,14 @@ class BeaconlessProtocol(MultiHopProtocol):
         #: (period, hw_on_grid, upstream_time) observations.
         self.samples: List[Tuple[int, float, float]] = []
 
-    def reset_sync(self) -> None:
-        super().reset_sync()
+    def _drop_upstream(self) -> None:
+        super()._drop_upstream()
         self.samples.clear()
 
-    # ------------------------------------------------------------------
-    # Transmission
-    # ------------------------------------------------------------------
-
-    def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
-        spec = self.spec
-        if self.node_id == ctx.root:
-            return 0.0
-        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return slot * spec.slot_time_us
-        if (
-            self.hop is not None
-            and self.hop >= 1
-            and self.adjustments >= 1
-            and (period + self.node_id) % _DUTY_CYCLE == 0
-        ):
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return (self.hop * spec.hop_stride_slots + slot) * spec.slot_time_us
-        return None
-
-    def make_frame(
-        self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
-    ) -> MultiHopFrame:
-        nominal = period * self.spec.beacon_period_us
-        hop = (
-            0
-            if self.node_id == ctx.root
-            else (self.hop if self.hop is not None else 0)
-        )
-        return MultiHopFrame(
-            sender=self.node_id,
-            hop=hop,
-            interval=period,
-            tx_true=tx_true,
-            timestamp=nominal,
-            delay_us=delay_us,
-        )
-
-    def _backoff_range(self) -> int:
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+    def _relay_turn(self, period: int, ctx: MultiHopContext) -> bool:
+        """The asymmetric duty cycle: relay every ``_DUTY_CYCLE``-th
+        period, staggered by station id (no thinning draw)."""
+        return (period + self.node_id) % _DUTY_CYCLE == 0
 
     # ------------------------------------------------------------------
     # Reception: windowed least squares over one-way samples
@@ -122,34 +85,15 @@ class BeaconlessProtocol(MultiHopProtocol):
     def on_receptions(
         self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
     ) -> bool:
-        spec = self.spec
-        decoded.sort(key=lambda tx: (tx.hop, tx.tx_true))
-        best = decoded[0]
-        current = next(
-            (tx for tx in decoded if tx.sender == self.upstream), None
-        )
-        if current is not None and best.hop >= current.hop:
-            chosen = current
-        elif current is not None:
-            chosen = best  # strictly better hop: re-hang
-        elif self.upstream is None or self.silent >= 2 * spec.l:
-            chosen = best
-        else:
-            return False  # upstream quiet this period; stay patient
-        arrival = chosen.tx_true + ctx.rx_latency_us
-        jitter = ctx.sample_timestamp_error()
-        hw = self.chain.hw.read(arrival) - chosen.delay_us
-        est = chosen.timestamp + ctx.rx_latency_us + jitter
+        chosen = self._choose_upstream(decoded)
+        if chosen is None:
+            return False
+        hw, est = self._observe(chosen, ctx)
         self.silent = 0
         if self.hop is None:
             # first contact: one-shot offset alignment, then regress
-            local = self.clock.read_current(hw)
-            self.chain.adjusted = AdjustedClock(
-                self.clock.k, self.clock.b + (est - local)
-            )
-            self.hop = chosen.hop + 1
+            self._join(chosen.hop + 1, hw, est)
             self.upstream = chosen.sender
-            self.samples.clear()
             return True
         if chosen.sender != self.upstream:
             # one-way scheme: no stickiness ceremony, but the regression
@@ -200,18 +144,3 @@ class BeaconlessProtocol(MultiHopProtocol):
         except MonotonicityError:
             return
         self.adjustments += 1
-
-    # ------------------------------------------------------------------
-    # Silence
-    # ------------------------------------------------------------------
-
-    def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
-        spec = self.spec
-        if accepted:
-            return
-        self.silent += 1
-        if self.silent > 4 * spec.l and self.upstream is not None:
-            self.samples.clear()
-            self.upstream = None
-        if self.silent > spec.resync_after_periods and self.hop is not None:
-            self.reset_sync()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.clocks.adjusted import AdjustedClock, MonotonicityError
+from repro.clocks.adjusted import MonotonicityError
 from repro.clocks.chain import ClockChain
 from repro.phy.params import COOP_BEACON_AIRTIME_SLOTS, COOP_BEACON_BYTES
 from repro.protocols.multihop_base import (
@@ -68,50 +68,11 @@ class CoopAverageProtocol(MultiHopProtocol):
 
     def reset_sync(self) -> None:
         super().reset_sync()
-        self._last_agg = None
         self._rate = 1.0
 
-    # ------------------------------------------------------------------
-    # Transmission
-    # ------------------------------------------------------------------
-
-    def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
-        spec = self.spec
-        if self.node_id == ctx.root:
-            return 0.0
-        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return slot * spec.slot_time_us
-        if self.hop is not None and self.hop >= 1 and self.adjustments >= 1:
-            # cooperation wants density: every synchronized station
-            # relays every period (modulo the shared thinning knob)
-            if spec.relay_probability < 1.0:
-                if ctx.slot_rng.random() >= spec.relay_probability:
-                    return None
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return (self.hop * spec.hop_stride_slots + slot) * spec.slot_time_us
-        return None
-
-    def make_frame(
-        self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
-    ) -> MultiHopFrame:
-        nominal = period * self.spec.beacon_period_us
-        hop = (
-            0
-            if self.node_id == ctx.root
-            else (self.hop if self.hop is not None else 0)
-        )
-        return MultiHopFrame(
-            sender=self.node_id,
-            hop=hop,
-            interval=period,
-            tx_true=tx_true,
-            timestamp=nominal,
-            delay_us=delay_us,
-        )
-
-    def _backoff_range(self) -> int:
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+    def _drop_upstream(self) -> None:
+        super()._drop_upstream()
+        self._last_agg = None  # a stale aggregate would alias the rate
 
     # ------------------------------------------------------------------
     # Reception: average over every decoded frame
@@ -128,10 +89,7 @@ class CoopAverageProtocol(MultiHopProtocol):
         est_sum = 0.0
         offset_sum = 0.0
         for tx in decoded:
-            arrival = tx.tx_true + ctx.rx_latency_us
-            jitter = ctx.sample_timestamp_error()
-            hw = self.chain.hw.read(arrival) - tx.delay_us
-            est = tx.timestamp + ctx.rx_latency_us + jitter
+            hw, est = self._observe(tx, ctx)
             hw_sum += hw
             est_sum += est
             offset_sum += est - self.clock.read_current(hw)
@@ -140,19 +98,15 @@ class CoopAverageProtocol(MultiHopProtocol):
         est_mean = est_sum / n
         offset_mean = offset_sum / n
         self.silent = 0
-        min_hop = decoded[0].hop
         self.upstream = decoded[0].sender  # best-hop sender, for diagnostics
+        last_agg = self._last_agg
+        self._last_agg = (hw_mean, est_mean)
         if self.hop is None:
-            local = self.clock.read_current(hw_mean)
-            self.chain.adjusted = AdjustedClock(
-                self.clock.k, self.clock.b + (est_mean - local)
-            )
-            self.hop = min_hop + 1
-            self._last_agg = (hw_mean, est_mean)
+            self._join(decoded[0].hop + 1, hw_mean, est_mean)
             return True
-        self.hop = min_hop + 1
-        if self._last_agg is not None:
-            prev_hw, prev_est = self._last_agg
+        self.hop = decoded[0].hop + 1
+        if last_agg is not None:
+            prev_hw, prev_est = last_agg
             d_hw = hw_mean - prev_hw
             d_est = est_mean - prev_est
             if d_hw > 0 and d_est > 0:
@@ -161,7 +115,6 @@ class CoopAverageProtocol(MultiHopProtocol):
                     max(implied, 1.0 - spec.k_clamp), 1.0 + spec.k_clamp
                 )
                 self._rate += _RATE_GAIN * (implied - self._rate)
-        self._last_agg = (hw_mean, est_mean)
         self._steer(offset_mean, hw_mean)
         return True
 
@@ -178,18 +131,3 @@ class CoopAverageProtocol(MultiHopProtocol):
         except MonotonicityError:
             return
         self.adjustments += 1
-
-    # ------------------------------------------------------------------
-    # Silence
-    # ------------------------------------------------------------------
-
-    def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
-        spec = self.spec
-        if accepted:
-            return
-        self.silent += 1
-        if self.silent > 4 * spec.l:
-            self._last_agg = None  # a stale aggregate would alias the rate
-            self.upstream = None
-        if self.silent > spec.resync_after_periods and self.hop is not None:
-            self.reset_sync()

@@ -42,7 +42,7 @@ from repro.sweep.failpolicy import (
 )
 from repro.sweep.grid import expand_grid
 from repro.sweep.jobs import register_job, resolve_job
-from repro.sweep.manifest import SweepManifest, default_manifest_path
+from repro.sweep.manifest import SweepManifest
 from repro.sweep.orchestrator import (
     SweepOptions,
     SweepResult,
@@ -67,7 +67,6 @@ __all__ = [
     "SweepResult",
     "add_sweep_arguments",
     "canonical_json",
-    "default_manifest_path",
     "derive_seed",
     "expand_grid",
     "ignore_sweep_arguments",

@@ -27,10 +27,6 @@ CACHE_SCHEMA_VERSION = 1
 #: The invalidation salt mixed into every cache key.
 CACHE_SALT = f"repro-{__version__}-schema{CACHE_SCHEMA_VERSION}"
 
-#: Default cache location of the experiment CLIs (overridable with
-#: ``--cache-dir`` / ``SSTSP_SWEEP_CACHE``).
-DEFAULT_CACHE_DIR = os.path.join("results", "sweep-cache")
-
 
 @dataclass
 class CacheStats:

@@ -142,9 +142,3 @@ class SweepManifest:
             salt=payload.get("salt", ""),
             jobs=dict(payload.get("jobs", {})),
         )
-
-
-def default_manifest_path(name: str) -> str:
-    """The CLI-default manifest location for sweep ``name``."""
-    root = os.environ.get("SSTSP_RESULTS_DIR", "results")
-    return os.path.join(root, "sweep_logs", f"{name}.manifest.json")

@@ -60,7 +60,8 @@ from repro.obs.counters import WorkCounters
 from repro.obs.events import RunObserver
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.paths import results_path
+from repro.sweep.cache import ResultCache
 from repro.sweep.failpolicy import (
     FailurePolicy,
     InjectedFailure,
@@ -70,7 +71,7 @@ from repro.sweep.failpolicy import (
     SweepInterrupted,
 )
 from repro.sweep.jobs import execute_job
-from repro.sweep.manifest import SweepManifest, default_manifest_path
+from repro.sweep.manifest import SweepManifest
 from repro.sweep.spec import JobSpec
 
 
@@ -186,8 +187,8 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> List[argparse.Action
         ),
         group.add_argument(
             "--cache-dir", default=None, metavar="DIR",
-            help="result-cache directory (default: $SSTSP_SWEEP_CACHE or "
-            f"{DEFAULT_CACHE_DIR!r})",
+            help="result-cache directory (default: $SSTSP_SWEEP_CACHE, else "
+            "sweep-cache/ under $SSTSP_RESULTS_DIR, else results/sweep-cache)",
         ),
         group.add_argument(
             "--no-cache", action="store_true",
@@ -271,7 +272,7 @@ def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
         cache_dir = (
             args.cache_dir
             or os.environ.get("SSTSP_SWEEP_CACHE")
-            or DEFAULT_CACHE_DIR
+            or results_path("sweep-cache")
         )
     if args.resume and cache_dir is None:
         raise ValueError("--resume requires the result cache (drop --no-cache)")
@@ -289,11 +290,6 @@ def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
         ),
         resume=args.resume,
     )
-
-
-def _default_log_path(name: str) -> str:
-    root = os.environ.get("SSTSP_RESULTS_DIR", "results")
-    return os.path.join(root, "sweep_logs", f"{name}.jsonl")
 
 
 class _RunLog:
@@ -532,10 +528,10 @@ def run_sweep(
 
     log_path = options.log_path
     if log_path is None and options.progress and specs:
-        log_path = _default_log_path(name)
+        log_path = results_path("sweep_logs", f"{name}.jsonl")
     manifest_path = options.manifest_path
     if manifest_path is None and (options.progress or options.resume) and specs:
-        manifest_path = default_manifest_path(name)
+        manifest_path = results_path("sweep_logs", f"{name}.manifest.json")
     err = sys.stderr
     start = time.perf_counter()
     values: List[Any] = [None] * len(specs)

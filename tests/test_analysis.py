@@ -111,6 +111,34 @@ class TestMetrics:
         assert rows == [(0.1, 4.0)]
 
 
+class TestTraceSerialization:
+    def make_trace(self, keep_values):
+        recorder = TraceRecorder(keep_values=keep_values)
+        for i in range(5):
+            values = np.array([float(i), i + 2.0])
+            recorder.record(
+                (i + 1) * 100.0, values, 1,
+                full_values=values if keep_values else None,
+            )
+        return recorder.finalize()
+
+    def test_npz_round_trip(self, tmp_path):
+        trace = self.make_trace(keep_values=False)
+        path = str(tmp_path / "trace.npz")
+        trace.save_npz(path)
+        loaded = SyncTrace.load_npz(path)
+        assert np.array_equal(loaded.times_us, trace.times_us)
+        assert np.array_equal(loaded.max_diff_us, trace.max_diff_us)
+        assert loaded.values_us is None
+
+    def test_npz_round_trip_with_values(self, tmp_path):
+        trace = self.make_trace(keep_values=True)
+        path = str(tmp_path / "trace.npz")
+        trace.save_npz(path)
+        loaded = SyncTrace.load_npz(path)
+        assert np.array_equal(loaded.values_us, trace.values_us)
+
+
 class TestQuarantineGaps:
     """Summary helpers must tolerate None/NaN holes, not raise.
 

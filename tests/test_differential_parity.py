@@ -14,6 +14,7 @@ and one with the paper churn pattern whose reference departs at 300 s
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +22,12 @@ import pytest
 
 from repro.analysis.metrics import TraceRecorder
 from repro.fastlane import run_sstsp_vectorized
-from repro.multihop.runner import MultiHopSpec, degenerate_scenario, run_multihop
+from repro.multihop.runner import MultiHopSpec, run_multihop
 from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec, build_network, build_sstsp_network
 from repro.obs import RunObserver, active, instrument
+from repro.protocols.multihop_sstsp import SstspRelayProtocol
 
 #: The shared scenarios: (id, spec, relative tail tolerance).
 SCENARIOS = [
@@ -155,7 +157,7 @@ class TestTracingParity:
 
 def _run_reference_lane(spec: MultiHopSpec):
     """The single-hop lane built exactly as the multi-hop delegation does."""
-    scenario, config = degenerate_scenario(spec)
+    scenario, config = SstspRelayProtocol.single_hop_lane(spec)
     runner = build_sstsp_network(scenario, config=config)
     runner.params = replace(runner.params, keep_values=True)
     runner.recorder = TraceRecorder(keep_values=True)
@@ -168,7 +170,7 @@ class TestMultiHopDegenerateParity:
     """A complete-graph multi-hop spec must reproduce the single-hop
     lane's decisions *exactly*: same reference elections, same per-period
     adjustment trace. The multi-hop runner delegates through
-    :func:`degenerate_scenario`, so any drift between the lanes (RNG
+    :meth:`SstspRelayProtocol.single_hop_lane`, so any drift between the lanes (RNG
     stream names, protocol constants, churn plumbing) breaks bit-parity
     here."""
 
@@ -217,3 +219,33 @@ class TestMultiHopDegenerateParity:
         assert mh.root == int(
             ref.trace.reference_ids[ref.trace.reference_ids >= 0][-1]
         )
+
+    def test_per_hop_errors_match_the_row_scan(self):
+        """The delegated run's per-hop medians equal a row-by-row scan of
+        the reference lane's clock matrix (second half, error vs the
+        period's reference, NaN cells skipped)."""
+        churn = ChurnSchedule(
+            (
+                ChurnEvent(60, "leave", (REFERENCE_MARKER,)),
+                ChurnEvent(150, "leave", (2, 3)),
+            )
+        )
+        spec = MultiHopSpec(
+            topology=Topology.full_mesh(8), seed=4, duration_s=20.0, churn=churn
+        )
+        mh = run_multihop(spec)
+        trace = _run_reference_lane(spec).trace
+        samples = {}
+        for idx in range(spec.periods // 2, len(trace)):
+            rid = int(trace.reference_ids[idx])
+            row = trace.values_us[idx]
+            if rid < 0 or math.isnan(row[rid]):
+                continue
+            for col, value in enumerate(row):
+                hop = mh.hop_of.get(col)
+                if hop and not math.isnan(value):
+                    samples.setdefault(hop, []).append(abs(value - row[rid]))
+        assert np.isnan(trace.values_us[-1]).any()
+        assert mh.per_hop_error_us == {
+            hop: float(np.median(values)) for hop, values in samples.items()
+        }

@@ -88,12 +88,7 @@ class TestTopology:
         assert not rows.flags.writeable
 
     def test_hop_array_matches_hop_distances(self):
-        import networkx as nx
-
-        graph = nx.path_graph(4)
-        graph.add_nodes_from([4, 5])
-        graph.add_edge(4, 5)
-        topo = Topology(graph)
+        topo = Topology(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
         hops = topo.hop_array(1)
         assert hops.tolist() == [1, 0, 1, 2, -1, -1]
         assert topo.hop_array(1) is hops and not hops.flags.writeable
@@ -109,12 +104,20 @@ class TestTopology:
         ]
 
     def test_node_labels_validated(self):
-        import networkx as nx
+        for edges in ([("a", "b")], [(0, 3)], [(-1, 0)], [(1, 1)]):
+            with pytest.raises(ValueError):
+                Topology(3, edges)
 
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        with pytest.raises(ValueError):
-            Topology(graph)
+    def test_importing_the_package_leaves_networkx_out(self):
+        import subprocess
+        import sys
+
+        probe = "import sys, repro.multihop; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSpecValidation:

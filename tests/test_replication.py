@@ -1,46 +1,48 @@
-"""Tests for the replication statistics and trace serialization."""
+"""Replicated-metric statistics: the :mod:`repro.analysis.stats` roll-ups
+applied to one scalar metric over independent seeds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import TraceRecorder, SyncTrace
-from repro.analysis.replication import (
-    compare,
-    replicate,
-    summarize,
-    t975,
-)
+from repro.analysis.stats import paired_stats, summarize_values, t975
+
+#: Seed spacing of the replicated end-to-end claims.
+_SEED_STRIDE = 1000
+
+
+def _seeds(replicas, base_seed=1):
+    return [base_seed + _SEED_STRIDE * r for r in range(replicas)]
 
 
 class TestSummarize:
     def test_basic(self):
-        summary = summarize([10.0, 12.0, 8.0, 11.0, 9.0])
+        summary = summarize_values([10.0, 12.0, 8.0, 11.0, 9.0])
         assert summary.mean == pytest.approx(10.0)
         assert summary.n == 5
-        low, high = summary.ci95
-        assert low < 10.0 < high
+        assert summary.t_ci.low < 10.0 < summary.t_ci.high
 
     def test_single_value_infinite_ci(self):
-        summary = summarize([5.0])
+        summary = summarize_values([5.0])
         assert summary.mean == 5.0
-        assert math.isinf(summary.ci95_half_width)
+        assert math.isinf(summary.t_ci.half_width)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize_values([])
 
     def test_none_and_nan_gaps_dropped(self):
-        # Quarantined sweep cells (PR 6) leave None/NaN holes in value
-        # lists; the summary covers the replicas that reported.
-        summary = summarize([10.0, None, 12.0, float("nan"), 8.0])
+        # Quarantined sweep cells leave None/NaN holes in value lists;
+        # the summary covers the replicas that reported.
+        summary = summarize_values([10.0, None, 12.0, float("nan"), 8.0])
         assert summary.n == 3
+        assert summary.missing == 2
         assert summary.mean == pytest.approx(10.0)
 
     def test_all_gaps_rejected(self):
         with pytest.raises(ValueError):
-            summarize([None, float("nan")])
+            summarize_values([None, float("nan")])
 
     def test_t_quantiles(self):
         assert t975(1) == pytest.approx(12.706)
@@ -51,89 +53,47 @@ class TestSummarize:
 
     def test_ci_shrinks_with_replicas(self):
         rng = np.random.default_rng(0)
-        small = summarize(rng.normal(0, 1, 5))
-        large = summarize(rng.normal(0, 1, 30))
-        assert large.ci95_half_width < small.ci95_half_width
+        small = summarize_values(rng.normal(0, 1, 5))
+        large = summarize_values(rng.normal(0, 1, 30))
+        assert large.t_ci.half_width < small.t_ci.half_width
 
     def test_str(self):
-        assert "n=3" in str(summarize([1.0, 2.0, 3.0]))
+        assert "n=3" in str(summarize_values([1.0, 2.0, 3.0]))
 
 
 class TestReplicate:
-    def test_seeds_are_derived(self):
-        seen = []
-        replicate(lambda seed: seen.append(seed) or 0.0, replicas=3, base_seed=7)
-        assert seen == [7, 1007, 2007]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: 0.0, replicas=0)
-
     def test_end_to_end_sync_metric(self):
         from repro.experiments.scenarios import quick_spec
         from repro.fastlane import run_sstsp_vectorized
 
-        def metric(seed):
-            spec = quick_spec(15, seed=seed, duration_s=8.0)
-            return run_sstsp_vectorized(spec).trace.steady_state_error_us()
-
-        summary = replicate(metric, replicas=3)
+        summary = summarize_values(
+            run_sstsp_vectorized(
+                quick_spec(15, seed=seed, duration_s=8.0)
+            ).trace.steady_state_error_us()
+            for seed in _seeds(3)
+        )
         assert 3.0 < summary.mean < 15.0
-        assert summary.ci95_half_width < summary.mean
+        assert summary.t_ci.half_width < summary.mean
 
 
 class TestCompare:
     def test_paired_and_significant(self):
-        comparison = compare(
-            lambda seed: 1.0 + 0.01 * seed % 1,
-            lambda seed: 5.0 + 0.01 * seed % 1,
-            replicas=5,
+        seeds = _seeds(5)
+        comparison = paired_stats(
+            [1.0 + 0.01 * seed % 1 for seed in seeds],
+            [5.0 + 0.01 * seed % 1 for seed in seeds],
         )
         assert comparison.a_smaller_significant
-        assert comparison.ratio == pytest.approx(5.0, rel=0.1)
+        assert comparison.mean_b / comparison.mean_a == pytest.approx(5.0, rel=0.1)
 
     def test_sstsp_beats_tsf_significantly(self):
         from repro.experiments.scenarios import quick_spec
         from repro.fastlane import run_sstsp_vectorized, run_tsf_vectorized
 
-        def sstsp(seed):
-            return run_sstsp_vectorized(
-                quick_spec(20, seed=seed, duration_s=8.0)
-            ).trace.steady_state_error_us()
-
-        def tsf(seed):
-            return run_tsf_vectorized(
-                quick_spec(20, seed=seed, duration_s=8.0)
-            ).trace.steady_state_error_us()
-
-        comparison = compare(sstsp, tsf, replicas=4)
+        specs = [quick_spec(20, seed=seed, duration_s=8.0) for seed in _seeds(4)]
+        comparison = paired_stats(
+            [run_sstsp_vectorized(s).trace.steady_state_error_us() for s in specs],
+            [run_tsf_vectorized(s).trace.steady_state_error_us() for s in specs],
+        )
         assert comparison.a_smaller_significant
-        assert comparison.ratio > 2.0
-
-
-class TestTraceSerialization:
-    def make_trace(self, keep_values):
-        recorder = TraceRecorder(keep_values=keep_values)
-        for i in range(5):
-            values = np.array([float(i), i + 2.0])
-            recorder.record(
-                (i + 1) * 100.0, values, 1,
-                full_values=values if keep_values else None,
-            )
-        return recorder.finalize()
-
-    def test_npz_round_trip(self, tmp_path):
-        trace = self.make_trace(keep_values=False)
-        path = str(tmp_path / "trace.npz")
-        trace.save_npz(path)
-        loaded = SyncTrace.load_npz(path)
-        assert np.array_equal(loaded.times_us, trace.times_us)
-        assert np.array_equal(loaded.max_diff_us, trace.max_diff_us)
-        assert loaded.values_us is None
-
-    def test_npz_round_trip_with_values(self, tmp_path):
-        trace = self.make_trace(keep_values=True)
-        path = str(tmp_path / "trace.npz")
-        trace.save_npz(path)
-        loaded = SyncTrace.load_npz(path)
-        assert np.array_equal(loaded.values_us, trace.values_us)
+        assert comparison.mean_b / comparison.mean_a > 2.0

@@ -353,11 +353,8 @@ def test_empty_windows_match_receiver_scan():
 
 
 def test_isolated_stations_match_receiver_scan():
-    import networkx as nx
-
-    graph = nx.path_graph(5)
-    graph.add_nodes_from(range(5, 8))  # three stations nobody hears
-    topology = Topology(graph)
+    # a chain of five plus three stations nobody hears
+    topology = Topology(8, [(0, 1), (1, 2), (2, 3), (3, 4)])
     windows = [
         ([(5, 0.0), (2, 9.0), (6, 9.0), (0, 90.0)], list(range(8))),
         ([(5, 0.0), (6, 0.0), (7, 0.0)], list(range(8))),

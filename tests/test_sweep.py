@@ -839,3 +839,27 @@ def test_sweep_cli_resume_flag_flows_through(tmp_path):
     args = _parse_sweep_cli(["--resume", "--cache-dir", str(tmp_path / "c")])
     options = sweep_options_from_args(args)
     assert options.resume is True and options.cache_dir == str(tmp_path / "c")
+
+
+# --- one results root -----------------------------------------------------
+
+
+def test_results_dir_alone_keeps_every_cli_output_out_of_cwd(monkeypatch, tmp_path):
+    """With only ``SSTSP_RESULTS_DIR`` set, the CSV, run log, manifest,
+    sweep cache and profile artifacts all land under it."""
+    from repro.experiments.cli import main
+
+    out, cwd = tmp_path / "out", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("SSTSP_RESULTS_DIR", str(out))
+    monkeypatch.delenv("SSTSP_SWEEP_CACHE")
+    argv = ["table1", "--nodes", "8", "--duration", "2", "-m", "1", "--replicas", "1"]
+    assert main(argv) == 0
+    assert main([
+        "profile", "run", "multihop_run", "--param", "topology=chain",
+        "--param", "n=3", "--param", "duration_s=1.0",
+    ]) == 0
+    assert not (cwd / "results").exists()
+    for entry in ("table1.csv", "sweep_logs", "sweep-cache", "profile"):
+        assert (out / entry).exists(), entry
